@@ -1,4 +1,4 @@
-.PHONY: all build test bench resilience-smoke parallel-smoke server-smoke obs-smoke rql-smoke store-smoke compile-smoke cluster-smoke incomplete-smoke check clean
+.PHONY: all build test bench resilience-smoke parallel-smoke server-smoke obs-smoke rql-smoke store-smoke compile-smoke cluster-smoke incomplete-smoke perfbench-selftest check clean
 
 all: build
 
@@ -86,7 +86,14 @@ incomplete-smoke:
 	dune exec bin/recdb.exe -- bench-incomplete --requests 60 -o BENCH_incomplete.json
 	dune exec bin/recdb.exe -- incomplete-smoke
 
-check: build test bench resilience-smoke parallel-smoke server-smoke obs-smoke rql-smoke store-smoke compile-smoke cluster-smoke incomplete-smoke
+# The end-to-end guard for every serving tier: a tiny pass of each
+# benchmark workload against real serve / shard / router processes,
+# every response byte-checked against the in-process reference replay
+# (exit 1 on any mismatch, failed op or missing metric).
+perfbench-selftest:
+	bash perfbench/run.sh --self-test
+
+check: build test bench resilience-smoke parallel-smoke server-smoke obs-smoke rql-smoke store-smoke compile-smoke cluster-smoke incomplete-smoke perfbench-selftest
 
 clean:
 	dune clean

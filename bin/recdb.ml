@@ -640,11 +640,30 @@ let window_arg =
 
 let per_conn_window_arg =
   Arg.(
-    value & opt int 16
+    value & opt int Conn.default_window
     & info [ "per-conn-window" ] ~docv:"N"
         ~doc:
           "Per-connection bound on responses owed; past it the server \
            stops reading that socket and lets TCP push back.")
+
+(* Publish bound ports, one per line, for a poller ([Proc.wait_port_file]):
+   temp + rename so a reader never sees a partial file. *)
+let write_port_file path ports =
+  let tmp = path ^ ".tmp" in
+  let oc = open_out tmp in
+  List.iter (Printf.fprintf oc "%d\n") ports;
+  close_out oc;
+  Sys.rename tmp path
+
+(* Park the main thread of a long-running command until SIGINT/SIGTERM. *)
+let wait_for_signal () =
+  let stop = Atomic.make false in
+  let on_signal _ = Atomic.set stop true in
+  Sys.set_signal Sys.sigint (Sys.Signal_handle on_signal);
+  Sys.set_signal Sys.sigterm (Sys.Signal_handle on_signal);
+  while not (Atomic.get stop) do
+    Unix.sleepf 0.05
+  done
 
 let cmd_serve =
   let doc =
@@ -780,25 +799,12 @@ let cmd_serve =
     (match store_dir with
     | Some dir -> Format.eprintf "recdb: durable store in %s@." dir
     | None -> ());
-    (match port_file with
-    | None -> ()
-    | Some path ->
-        (* temp + rename so a poller never reads a partial file *)
-        let tmp = path ^ ".tmp" in
-        let oc = open_out tmp in
-        Printf.fprintf oc "%d\n" (Server.port server);
-        (match Server.metrics_port server with
-        | Some mp -> Printf.fprintf oc "%d\n" mp
-        | None -> ());
-        close_out oc;
-        Sys.rename tmp path);
-    let stop = Atomic.make false in
-    let on_signal _ = Atomic.set stop true in
-    Sys.set_signal Sys.sigint (Sys.Signal_handle on_signal);
-    Sys.set_signal Sys.sigterm (Sys.Signal_handle on_signal);
-    while not (Atomic.get stop) do
-      Unix.sleepf 0.05
-    done;
+    Option.iter
+      (fun path ->
+        write_port_file path
+          (Server.port server :: Option.to_list (Server.metrics_port server)))
+      port_file;
+    wait_for_signal ();
     let adm = Server.admission server in
     Format.eprintf "recdb: draining (%d in flight)...@."
       (Admission.inflight adm);
@@ -2146,22 +2152,10 @@ let cmd_shard =
         Format.eprintf "recdb: supervising %d shard(s): %s@." n
           (String.concat ", "
              (List.map (fun (h, p) -> Printf.sprintf "%s:%d" h p) endpoints));
-        (match port_file with
-        | None -> ()
-        | Some path ->
-            (* temp + rename so a poller never reads a partial file *)
-            let tmp = path ^ ".tmp" in
-            let oc = open_out tmp in
-            List.iter (fun (_, p) -> Printf.fprintf oc "%d\n" p) endpoints;
-            close_out oc;
-            Sys.rename tmp path);
-        let stop = Atomic.make false in
-        let on_signal _ = Atomic.set stop true in
-        Sys.set_signal Sys.sigint (Sys.Signal_handle on_signal);
-        Sys.set_signal Sys.sigterm (Sys.Signal_handle on_signal);
-        while not (Atomic.get stop) do
-          Unix.sleepf 0.05
-        done;
+        Option.iter
+          (fun path -> write_port_file path (List.map snd endpoints))
+          port_file;
+        wait_for_signal ();
         Format.eprintf "recdb: stopping %d shard(s) (%d respawn(s) so far)@."
           n (Shard_sup.respawns sup);
         Shard_sup.stop sup
@@ -2312,24 +2306,12 @@ let cmd_router =
     (match Router.metrics_port router with
     | Some mp -> Format.eprintf "recdb: metrics on %s:%d/metrics@." host mp
     | None -> ());
-    (match port_file with
-    | None -> ()
-    | Some path ->
-        let tmp = path ^ ".tmp" in
-        let oc = open_out tmp in
-        Printf.fprintf oc "%d\n" (Router.port router);
-        (match Router.metrics_port router with
-        | Some mp -> Printf.fprintf oc "%d\n" mp
-        | None -> ());
-        close_out oc;
-        Sys.rename tmp path);
-    let stop = Atomic.make false in
-    let on_signal _ = Atomic.set stop true in
-    Sys.set_signal Sys.sigint (Sys.Signal_handle on_signal);
-    Sys.set_signal Sys.sigterm (Sys.Signal_handle on_signal);
-    while not (Atomic.get stop) do
-      Unix.sleepf 0.05
-    done;
+    Option.iter
+      (fun path ->
+        write_port_file path
+          (Router.port router :: Option.to_list (Router.metrics_port router)))
+      port_file;
+    wait_for_signal ();
     let c = Router.counters router in
     Format.eprintf
       "recdb: draining router (routed %d, hedges %d, wins %d, sheds %d)...@."

@@ -42,20 +42,8 @@ type upstream = {
   mutable u_thread : Thread.t option;
 }
 
-type client = {
-  c_fd : Unix.file_descr;
-  c_lock : Mutex.t;
-  c_cond : Condition.t;
-  c_queue : string Queue.t;  (* raw response lines, ready to write *)
-  mutable c_outstanding : int;  (* flights not yet answered *)
-  mutable c_eof : bool;
-  mutable c_dead : bool;  (* writer hit EPIPE: drop, don't block *)
-  mutable c_writer : Thread.t option;
-  mutable c_reader : Thread.t option;
-}
-
 type flight = {
-  f_client : client;
+  f_reply : string -> unit;  (* the client connection's answer callback *)
   f_orig_id : int;
   f_payload : Request.payload;
   f_mode : Request.mode option;
@@ -74,9 +62,8 @@ type flight = {
 type pending = { p_flight : flight; p_up : upstream; p_gen : int }
 
 type t = {
-  listen_fd : Unix.file_descr;
-  bound_port : int;
-  host : string;
+  listener : Listener.t;
+  node : string;  (* "router:host:port", the router's ledger row *)
   ring : Ring.t;
   upstreams : (string * upstream) list;  (* name -> upstream *)
   cfg_stats : bool;
@@ -91,10 +78,8 @@ type t = {
   mutable hedge_wins : int;
   mutable sheds : int;
   mutable failovers : int;
-  mutable clients : client list;
-  mutable accepted : int;
   mutable drained : bool;
-  mutable accept_thread : Thread.t option;
+  mutable conns : Conn.group option;  (* set once the listener runs *)
   mutable hedge_thread : Thread.t option;
   mutable expo : Expo_server.t option;
   mutable expo_source : Obs.Expo.source option;
@@ -151,62 +136,16 @@ let uid_of_line line =
   end
   else None
 
-(* ------------------------------------------------------------------ *)
-(* Client writer: one thread per connection draining a queue of raw
-   lines.  Every response — forwarded or router-generated — goes
-   through here, so shard reader threads never block on a slow
-   client's socket. *)
-
-let enqueue client line =
-  Mutex.lock client.c_lock;
-  if not client.c_dead then begin
-    Queue.push line client.c_queue;
-    Condition.broadcast client.c_cond
-  end;
-  Mutex.unlock client.c_lock
-
-let client_writer client =
-  let rec loop () =
-    Mutex.lock client.c_lock;
-    while
-      Queue.is_empty client.c_queue
-      && (not client.c_dead)
-      && not (client.c_eof && client.c_outstanding = 0)
-    do
-      Condition.wait client.c_cond client.c_lock
-    done;
-    let next =
-      if Queue.is_empty client.c_queue then None
-      else Some (Queue.pop client.c_queue)
-    in
-    let dead = client.c_dead in
-    Mutex.unlock client.c_lock;
-    match next with
-    | Some line ->
-        if not dead then begin
-          try Frame.write_line client.c_fd line
-          with Unix.Unix_error _ | Sys_error _ ->
-            Mutex.lock client.c_lock;
-            client.c_dead <- true;
-            Condition.broadcast client.c_cond;
-            Mutex.unlock client.c_lock
-        end;
-        loop ()
-    | None -> if not (dead || client.c_eof) then loop ()
-  in
-  loop ();
-  try Unix.close client.c_fd with Unix.Unix_error _ -> ()
-
 (* A flight's answer has been produced (forwarded line or local typed
-   error): hand it to the writer exactly once — callers guarantee
-   exactly-once via [f_done] under the router lock. *)
-let finish_flight fl line =
-  let client = fl.f_client in
-  enqueue client line;
-  Mutex.lock client.c_lock;
-  client.c_outstanding <- client.c_outstanding - 1;
-  Condition.broadcast client.c_cond;
-  Mutex.unlock client.c_lock
+   error): hand it to the client connection exactly once.  [f_done]
+   under the router lock decides which of several racing answers
+   (primary, hedge, failover verdict) is the one. *)
+let finish_flight t fl line =
+  Mutex.lock t.lock;
+  let first = not fl.f_done in
+  fl.f_done <- true;
+  Mutex.unlock t.lock;
+  if first then fl.f_reply line
 
 let local_response t ~id result =
   Json.to_string
@@ -296,7 +235,7 @@ let rec dispatch t fl =
       let oracle =
         match fl.f_tried with name :: _ -> "shard-" ^ name | [] -> "shard"
       in
-      finish_flight fl
+      finish_flight t fl
         (local_response t ~id:fl.f_orig_id
            (Error
               (Request.Oracle_unavailable
@@ -307,7 +246,7 @@ let rec dispatch t fl =
         Mutex.lock t.lock;
         t.sheds <- t.sheds + 1;
         Mutex.unlock t.lock;
-        finish_flight fl
+        finish_flight t fl
           (local_response t ~id:fl.f_orig_id
              (Error
                 (Request.Overloaded { limit = Admission.window u.u_admission })))
@@ -374,7 +313,7 @@ let handle_response t line =
       Mutex.unlock t.lock;
       match deliver with
       | None -> ()
-      | Some fl -> finish_flight fl (rewrite_id line ~id:fl.f_orig_id))
+      | Some fl -> fl.f_reply (rewrite_id line ~id:fl.f_orig_id))
 
 let upstream_manager t (u : upstream) =
   let draining () =
@@ -486,16 +425,16 @@ let hedge_loop t ~hedge_after_s =
 
 (* ------------------------------------------------------------------ *)
 (* The stats op: fan out to every shard on fresh one-shot connections,
-   merge with Ledger_merge, append the router's own question-free row.
-   Rare and synchronous on the asking client's reader thread. *)
+   one thread per shard so a single timeout bounds the whole op, merge
+   with Ledger_merge, append the router's own question-free row.  Rare
+   and synchronous on the asking client's reader thread. *)
 
 let router_ledger t =
   Mutex.lock t.lock;
   let l =
-    Request.ledger
-      ~node:(Printf.sprintf "router:%s:%d" t.host t.bound_port)
-      ~raw:0 ~tb:0 ~equiv:0 ~cache_hits:0 ~served:t.routed
-      ~hedges_fired:t.hedges_fired ~hedge_wins:t.hedge_wins ~sheds:t.sheds ()
+    Request.ledger ~node:t.node ~raw:0 ~tb:0 ~equiv:0 ~cache_hits:0
+      ~served:t.routed ~hedges_fired:t.hedges_fired ~hedge_wins:t.hedge_wins
+      ~sheds:t.sheds ()
   in
   Mutex.unlock t.lock;
   l
@@ -504,132 +443,62 @@ let stats_line =
   Json.to_string (Request.to_json (Request.make ~id:0 Request.Stats))
 
 let shard_ledgers t =
+  let ask (_, u) =
+    let slot = ref None in
+    let th =
+      Thread.create
+        (fun () ->
+          match
+            Proc.send_and_collect ~host:u.u_host ~port:u.u_port ~timeout_s:5.0
+              [ stats_line ]
+          with
+          | Ok (line :: _) -> slot := Ledger_merge.of_response_line line
+          | Ok [] | Error _ -> ())
+        ()
+    in
+    (th, slot)
+  in
   List.filter_map
-    (fun (_, u) ->
-      match
-        Proc.send_and_collect ~host:u.u_host ~port:u.u_port ~timeout_s:5.0
-          [ stats_line ]
-      with
-      | Ok (line :: _) -> Ledger_merge.of_response_line line
-      | Ok [] | Error _ -> None)
-    t.upstreams
+    (fun (th, slot) ->
+      Thread.join th;
+      !slot)
+    (List.map ask t.upstreams)
 
 let merged_ledger t =
   let shards = shard_ledgers t in
   (Ledger_merge.sum ~node:"cluster" (router_ledger t :: shards), shards)
 
-let serve_stats t client ~id =
-  let cluster, shards = merged_ledger t in
-  enqueue client
-    (local_response t ~id (Ok (Request.Ledger_report { cluster; shards })))
-
 (* ------------------------------------------------------------------ *)
-(* Client side *)
+(* Client side: Conn reads, decodes and answers bad frames exactly as a
+   shard does; every decoded request lands here. *)
 
-let handle_request t client line ~line_no =
-  match Request.decode_line ~default_id:line_no line with
-  | `Empty -> ()
-  | `Error resp ->
-      (* malformed lines are answered here — a broken client costs the
-         shards nothing *)
-      enqueue client
-        (Json.to_string (Request.response_to_json ~stats:t.cfg_stats resp))
-  | `Request req -> (
-      match req.Request.payload with
-      | Request.Stats -> serve_stats t client ~id:req.Request.id
-      | payload ->
-          let fl =
-            {
-              f_client = client;
-              f_orig_id = req.Request.id;
-              f_payload = payload;
-              f_mode = req.Request.mode;
-              f_key = key_of payload;
-              f_sent_at = Unix.gettimeofday ();
-              f_done = false;
-              f_hedged = false;
-              f_attempts = 0;
-              f_tried = [];
-              f_hedge_uid = -1;
-            }
-          in
-          Mutex.lock client.c_lock;
-          client.c_outstanding <- client.c_outstanding + 1;
-          Mutex.unlock client.c_lock;
-          Mutex.lock t.lock;
-          t.routed <- t.routed + 1;
-          Mutex.unlock t.lock;
-          dispatch t fl)
-
-let client_reader t client =
-  let reader = Frame.reader ~max_line:t.max_line client.c_fd in
-  let line_no = ref 0 in
-  let rec loop () =
-    match Frame.read reader with
-    | Frame.Line line ->
-        incr line_no;
-        handle_request t client line ~line_no:!line_no;
-        loop ()
-    | Frame.Oversized n ->
-        incr line_no;
-        enqueue client
-          (local_response t ~id:!line_no
-             (Error
-                (Request.Parse_error
-                   (Printf.sprintf "line of %d bytes exceeds max-line %d" n
-                      t.max_line))));
-        loop ()
-    | Frame.Truncated _ | Frame.Eof ->
-        Mutex.lock client.c_lock;
-        client.c_eof <- true;
-        Condition.broadcast client.c_cond;
-        Mutex.unlock client.c_lock
-  in
-  loop ()
-
-let accept_loop t =
-  let stopping () =
-    Mutex.lock t.lock;
-    let s = t.drained in
-    Mutex.unlock t.lock;
-    s
-  in
-  let rec loop () =
-    if stopping () then ()
-    else
-      match Unix.select [ t.listen_fd ] [] [] 0.05 with
-      | [], _, _ -> loop ()
-      | _ -> (
-          match Unix.accept t.listen_fd with
-          | fd, _addr ->
-              (try Unix.setsockopt fd Unix.TCP_NODELAY true
-               with Unix.Unix_error _ -> ());
-              let client =
-                {
-                  c_fd = fd;
-                  c_lock = Mutex.create ();
-                  c_cond = Condition.create ();
-                  c_queue = Queue.create ();
-                  c_outstanding = 0;
-                  c_eof = false;
-                  c_dead = false;
-                  c_writer = None;
-                  c_reader = None;
-                }
-              in
-              client.c_writer <- Some (Thread.create client_writer client);
-              client.c_reader <-
-                Some (Thread.create (fun () -> client_reader t client) ());
-              Mutex.lock t.lock;
-              t.accepted <- t.accepted + 1;
-              t.clients <- client :: t.clients;
-              Mutex.unlock t.lock;
-              loop ()
-          | exception Unix.Unix_error (Unix.EINTR, _, _) -> loop ())
-      | exception Unix.Unix_error (Unix.EINTR, _, _) -> loop ()
-      | exception Unix.Unix_error (_, _, _) -> ()
-  in
-  loop ()
+let submit t (req : Request.t) reply =
+  match req.Request.payload with
+  | Request.Stats ->
+      let cluster, shards = merged_ledger t in
+      reply
+        (local_response t ~id:req.Request.id
+           (Ok (Request.Ledger_report { cluster; shards })))
+  | payload ->
+      let fl =
+        {
+          f_reply = reply;
+          f_orig_id = req.Request.id;
+          f_payload = payload;
+          f_mode = req.Request.mode;
+          f_key = key_of payload;
+          f_sent_at = Unix.gettimeofday ();
+          f_done = false;
+          f_hedged = false;
+          f_attempts = 0;
+          f_tried = [];
+          f_hedge_uid = -1;
+        }
+      in
+      Mutex.lock t.lock;
+      t.routed <- t.routed + 1;
+      Mutex.unlock t.lock;
+      dispatch t fl
 
 let register_expo t =
   Obs.Expo.register "cluster_router" (fun () ->
@@ -724,24 +593,11 @@ let start ?(host = "127.0.0.1") ?(port = 0) ?(window = 64) ?hedge_after_s
       shards
   in
   let ring = Ring.create (List.map fst upstreams) in
-  let listen_fd = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
-  (try
-     Unix.setsockopt listen_fd Unix.SO_REUSEADDR true;
-     Unix.bind listen_fd (Unix.ADDR_INET (Unix.inet_addr_of_string host, port));
-     Unix.listen listen_fd 128
-   with e ->
-     (try Unix.close listen_fd with Unix.Unix_error _ -> ());
-     raise e);
-  let bound_port =
-    match Unix.getsockname listen_fd with
-    | Unix.ADDR_INET (_, p) -> p
-    | Unix.ADDR_UNIX _ -> assert false
-  in
+  let listener = Listener.listen ~host ~port in
   let t =
     {
-      listen_fd;
-      bound_port;
-      host;
+      listener;
+      node = Printf.sprintf "router:%s:%d" host (Listener.port listener);
       ring;
       upstreams;
       cfg_stats = stats;
@@ -756,10 +612,8 @@ let start ?(host = "127.0.0.1") ?(port = 0) ?(window = 64) ?hedge_after_s
       hedge_wins = 0;
       sheds = 0;
       failovers = 0;
-      clients = [];
-      accepted = 0;
       drained = false;
-      accept_thread = None;
+      conns = None;
       hedge_thread = None;
       expo = None;
       expo_source = None;
@@ -784,10 +638,20 @@ let start ?(host = "127.0.0.1") ?(port = 0) ?(window = 64) ?hedge_after_s
       t.hedge_thread <-
         Some (Thread.create (fun () -> hedge_loop t ~hedge_after_s:h) ())
   | _ -> ());
-  t.accept_thread <- Some (Thread.create accept_loop t);
+  let conns =
+    Conn.group
+      {
+        Conn.submit = submit t;
+        stats;
+        max_line;
+        per_conn_window = Conn.default_window;
+      }
+  in
+  t.conns <- Some conns;
+  Listener.run listener (Conn.accept conns);
   t
 
-let port t = t.bound_port
+let port t = Listener.port t.listener
 let metrics_port t = Option.map Expo_server.port t.expo
 
 type counters = {
@@ -830,62 +694,19 @@ let drain ?(timeout_s = 30.0) t =
         Obs.Expo.unregister s;
         t.expo_source <- None
     | None -> ());
-    (match t.accept_thread with
-    | Some th ->
-        Thread.join th;
-        t.accept_thread <- None
-    | None -> ());
-    (try Unix.close t.listen_fd with Unix.Unix_error _ -> ());
+    Listener.stop t.listener;
     (match t.hedge_thread with
     | Some th ->
         Thread.join th;
         t.hedge_thread <- None
     | None -> ());
-    Mutex.lock t.lock;
-    let clients = t.clients in
-    t.clients <- [];
-    Mutex.unlock t.lock;
-    (* half-close every client: its reader sees EOF, its writer drains
-       the owed responses as the shards answer them *)
-    List.iter
-      (fun c ->
-        try Unix.shutdown c.c_fd Unix.SHUTDOWN_RECEIVE
-        with Unix.Unix_error _ -> ())
-      clients;
-    let finished c =
-      Mutex.lock c.c_lock;
-      let f =
-        c.c_dead
-        || (c.c_eof && c.c_outstanding = 0 && Queue.is_empty c.c_queue)
-      in
-      Mutex.unlock c.c_lock;
-      f
+    (* clients first, while the shard connections still carry their
+       owed answers back *)
+    let outcome =
+      match t.conns with
+      | Some g -> Conn.drain ~timeout_s g
+      | None -> `Clean
     in
-    let deadline = Unix.gettimeofday () +. timeout_s in
-    let rec wait () =
-      if List.for_all finished clients then `Clean
-      else if Unix.gettimeofday () > deadline then begin
-        let stuck = List.filter (fun c -> not (finished c)) clients in
-        List.iter
-          (fun c ->
-            Mutex.lock c.c_lock;
-            c.c_dead <- true;
-            Condition.broadcast c.c_cond;
-            Mutex.unlock c.c_lock)
-          stuck;
-        `Forced (List.length stuck)
-      end
-      else begin
-        Unix.sleepf 0.002;
-        wait ()
-      end
-    in
-    let outcome = wait () in
-    List.iter
-      (fun c ->
-        (match c.c_reader with Some th -> Thread.join th | None -> ());
-        match c.c_writer with Some th -> Thread.join th | None -> ())
-      clients;
     (* upstream managers exit at their next poll; unblock the ones
        parked in a read by shutting the sockets down *)
     List.iter

@@ -9,7 +9,15 @@
     what the shards report, and shard responses are forwarded
     byte-identical except for the id prefix (rewritten back to the
     client's original id, never re-serialized) — the two facts E32
-    asserts. *)
+    asserts.
+
+    Clients are served by the same {!Listener} and {!Conn} core as a
+    direct {!Server}: bad frames (malformed, oversized, truncated) get
+    the byte-identical [Parse_error] line a shard would send, unknown
+    fields are counted, and a client owed {!Conn.default_window}
+    responses is not read again until it reads some — so routed bytes
+    equal direct bytes on every input, and a client that stops reading
+    costs the router a bounded queue. *)
 
 type t
 
@@ -59,14 +67,16 @@ type counters = {
 val counters : t -> counters
 
 val merged_ledger : t -> Request.ledger * Request.ledger list
-(** What the [stats] op answers: fan out to every shard on one-shot
-    connections, sum with {!Ledger_merge.sum}, include the router's
-    own question-free row (served/hedges/sheds).  Shards that cannot
-    be reached are omitted from the per-shard list. *)
+(** What the [stats] op answers: ask every shard at once, each on its
+    own one-shot connection with a 5 s timeout (so k stalled shards
+    cost one timeout, not k), sum with {!Ledger_merge.sum}, include the
+    router's own question-free row (served/hedges/sheds).  Shards that
+    cannot be reached are omitted from the per-shard list. *)
 
 val drain : ?timeout_s:float -> t -> [ `Clean | `Forced of int ]
-(** Stop accepting, half-close every client, wait for owed responses
-    to flush (up to [timeout_s], default 30s), then tear down shard
-    connections and join every thread.  [`Forced n] means [n] clients
-    were still owed responses at the deadline and were cut.
+(** Stop accepting, then {!Conn.drain} the clients (half-close, wait
+    for owed responses to flush up to [timeout_s], default 30s, cut the
+    stragglers), then tear down shard connections and join every
+    thread.  [`Forced n] means [n] clients were still owed responses
+    at the deadline and were cut.
     Idempotent (second call returns [`Clean] immediately). *)

@@ -1,10 +1,11 @@
 type config = {
-  admission : Admission.t;
-  submit : Request.t -> (Request.response -> unit) -> unit;
+  submit : Request.t -> (string -> unit) -> unit;
   stats : bool;
   max_line : int;
   per_conn_window : int;
 }
+
+let default_window = 16
 
 type t = {
   cfg : config;
@@ -12,8 +13,8 @@ type t = {
   lock : Mutex.t;
   can_read : Condition.t;  (* pending dropped below the window *)
   can_write : Condition.t;  (* queue non-empty, input done, or abort *)
-  queue : Request.response Queue.t;
-  mutable pending : int;  (* responses owed: queued + still in the pool *)
+  queue : string Queue.t;  (* encoded response lines, ready to write *)
+  mutable pending : int;  (* responses owed: queued + still submitted *)
   mutable input_done : bool;
   mutable dead : bool;  (* write side failed: compute, account, drop *)
   mutable aborted : bool;
@@ -21,17 +22,24 @@ type t = {
   mutable live_threads : int;  (* reader + writer still running *)
   mutable reader_thread : Thread.t option;
   mutable writer_thread : Thread.t option;
-  m_bad_frames : Metrics.counter;
-  (* [bad_frames] totals every answered-with-an-error line (sheds
-     included); these two break out the frame-level drop causes so a
-     scrape can tell an oversized flood from garbage JSON. *)
-  m_frames_oversized : Metrics.counter;
-  m_frames_parse : Metrics.counter;
-  (* Unknown top-level request fields are warn-and-count, never reject:
-     a newer client talking to an older server degrades to a scrapeable
-     counter instead of a hard error (the mode/budget rollout story). *)
-  m_frames_unknown_field : Metrics.counter;
 }
+
+(* [bad_frames] totals every line answered with a frame-level error
+   (the server adds its sheds); the next two break out the frame-level
+   drop causes so a scrape can tell an oversized flood from garbage
+   JSON. *)
+let m_bad_frames = Metrics.counter "server.bad_frames"
+let m_frames_oversized = Metrics.counter "server.frames_dropped_oversized"
+let m_frames_parse = Metrics.counter "server.frames_parse_error"
+
+(* Unknown top-level request fields are warn-and-count, never reject:
+   a newer client talking to an older server degrades to a scrapeable
+   counter instead of a hard error (the mode/budget rollout story). *)
+let m_frames_unknown_field = Metrics.counter "server.frames_unknown_field"
+let m_connections = Metrics.counter "server.connections"
+
+let encode t resp =
+  Json.to_string (Request.response_to_json ~stats:t.cfg.stats resp)
 
 let parse_error_response id msg =
   {
@@ -42,15 +50,15 @@ let parse_error_response id msg =
   }
 
 (* Called with one owed-response slot already taken (see [owe]). *)
-let enqueue t resp =
+let enqueue t line =
   Mutex.lock t.lock;
-  Queue.add resp t.queue;
+  Queue.add line t.queue;
   Condition.signal t.can_write;
   Mutex.unlock t.lock
 
 (* Reader side: reserve an owed-response slot before a submit/enqueue,
-   so the writer queue's depth is bounded by [per_conn_window] and pool
-   callbacks always find room. *)
+   so the writer queue's depth is bounded by [per_conn_window] and
+   submit callbacks always find room. *)
 let owe t =
   Mutex.lock t.lock;
   t.pending <- t.pending + 1;
@@ -64,9 +72,9 @@ let thread_exited t =
 let reader_loop t =
   let reader = Frame.reader ~max_line:t.cfg.max_line t.fd in
   let bad t resp =
-    Metrics.incr t.m_bad_frames;
+    Metrics.incr m_bad_frames;
     owe t;
-    enqueue t resp
+    enqueue t (encode t resp)
   in
   let rec loop line_no =
     (* Per-connection backpressure: while a full window of responses is
@@ -88,13 +96,13 @@ let reader_loop t =
           (* EOF mid-frame; answer if there were actual bytes, then the
              next read's Eof ends the loop. *)
           if String.trim partial <> "" then begin
-            Metrics.incr t.m_frames_parse;
+            Metrics.incr m_frames_parse;
             bad t
               (parse_error_response line_no
                  "truncated frame: connection closed before newline")
           end
       | Frame.Oversized n ->
-          Metrics.incr t.m_frames_oversized;
+          Metrics.incr m_frames_oversized;
           bad t
             (parse_error_response line_no
                (Printf.sprintf "frame of %d bytes exceeds the %d-byte limit"
@@ -103,35 +111,18 @@ let reader_loop t =
       | Frame.Line line ->
           (match
              Request.decode_line ~default_id:line_no
-               ~on_unknown:(fun _field ->
-                 Metrics.incr t.m_frames_unknown_field)
+               ~on_unknown:(fun _field -> Metrics.incr m_frames_unknown_field)
                line
            with
           | `Empty -> ()
           | `Error resp ->
-              Metrics.incr t.m_frames_parse;
+              Metrics.incr m_frames_parse;
               bad t resp
           | `Request req ->
-              if Admission.try_admit t.cfg.admission then begin
-                owe t;
-                t.cfg.submit req (fun resp ->
-                    (* runs on a pool worker: enqueue never blocks
-                       (the owed slot is reserved), then the in-flight
-                       window slot comes free *)
-                    enqueue t resp;
-                    Admission.release t.cfg.admission)
-              end
-              else
-                bad t
-                  {
-                    Request.id = req.Request.id;
-                    result =
-                      Error
-                        (Request.Overloaded
-                           { limit = Admission.window t.cfg.admission });
-                    cert = Request.Cert_exact;
-                    stats = Request.zero_stats;
-                  });
+              owe t;
+              (* the callback may run on any thread; enqueue never
+                 blocks because the owed slot is already reserved *)
+              t.cfg.submit req (enqueue t));
           loop line_no
   in
   loop 0;
@@ -155,14 +146,11 @@ let writer_loop t =
     else
       match Queue.take_opt t.queue with
       | None -> Mutex.unlock t.lock (* input done and nothing owed *)
-      | Some resp ->
+      | Some line ->
           let dead = t.dead in
           Mutex.unlock t.lock;
           (if not dead then
-             try
-               Frame.write_line t.fd
-                 (Json.to_string
-                    (Request.response_to_json ~stats:t.cfg.stats resp))
+             try Frame.write_line t.fd line
              with Unix.Unix_error _ | Sys_error _ ->
                (* Peer gone mid-request: from here on results are
                   still computed and accounted, just dropped. *)
@@ -185,8 +173,6 @@ let writer_loop t =
   thread_exited t
 
 let serve cfg fd =
-  if cfg.per_conn_window < 1 then
-    invalid_arg "Conn.serve: per_conn_window < 1";
   let t =
     {
       cfg;
@@ -203,20 +189,20 @@ let serve cfg fd =
       live_threads = 2;
       reader_thread = None;
       writer_thread = None;
-      m_bad_frames = Metrics.counter "server.bad_frames";
-      m_frames_oversized = Metrics.counter "server.frames_dropped_oversized";
-      m_frames_parse = Metrics.counter "server.frames_parse_error";
-      m_frames_unknown_field = Metrics.counter "server.frames_unknown_field";
     }
   in
   t.reader_thread <- Some (Thread.create reader_loop t);
   t.writer_thread <- Some (Thread.create writer_loop t);
   t
 
+(* Graceful drain: half-close the receive side so the reader sees EOF
+   after the frames already in flight; owed responses are still
+   written. *)
 let stop_reading t =
-  try Unix.shutdown t.fd Unix.SHUTDOWN_RECEIVE
-  with Unix.Unix_error _ -> ()
+  try Unix.shutdown t.fd Unix.SHUTDOWN_RECEIVE with Unix.Unix_error _ -> ()
 
+(* Hard stop: both threads exit promptly, owed responses are dropped
+   (a late submit callback only fills the dead queue). *)
 let abort t =
   Mutex.lock t.lock;
   t.aborted <- true;
@@ -233,17 +219,69 @@ let finished t =
   fin
 
 let join t =
-  (match t.reader_thread with
-  | Some th ->
-      Thread.join th;
-      t.reader_thread <- None
-  | None -> ());
-  (match t.writer_thread with
-  | Some th ->
-      Thread.join th;
-      t.writer_thread <- None
-  | None -> ());
+  Option.iter Thread.join t.reader_thread;
+  Option.iter Thread.join t.writer_thread;
+  t.reader_thread <- None;
+  t.writer_thread <- None;
   if not t.closed then begin
     t.closed <- true;
     try Unix.close t.fd with Unix.Unix_error _ -> ()
   end
+
+(* ------------------------------------------------------------------ *)
+(* The connections of one endpoint *)
+
+type group = {
+  g_cfg : config;
+  g_lock : Mutex.t;
+  mutable g_conns : t list;
+  mutable g_accepted : int;
+}
+
+let group cfg =
+  if cfg.per_conn_window < 1 then invalid_arg "Conn.group: per_conn_window < 1";
+  { g_cfg = cfg; g_lock = Mutex.create (); g_conns = []; g_accepted = 0 }
+
+let accept g fd =
+  let conn = serve g.g_cfg fd in
+  Mutex.lock g.g_lock;
+  g.g_accepted <- g.g_accepted + 1;
+  (* Reap finished connections in passing so a long-lived endpoint does
+     not accumulate one record per client ever served. *)
+  let finished, live = List.partition finished g.g_conns in
+  g.g_conns <- conn :: live;
+  Mutex.unlock g.g_lock;
+  List.iter join finished;
+  Metrics.incr m_connections
+
+let accepted g =
+  Mutex.lock g.g_lock;
+  let n = g.g_accepted in
+  Mutex.unlock g.g_lock;
+  n
+
+let drain ~timeout_s g =
+  Mutex.lock g.g_lock;
+  let conns = g.g_conns in
+  g.g_conns <- [];
+  Mutex.unlock g.g_lock;
+  (* Half-close every connection: readers see EOF once the frames
+     already sent are consumed; submitted requests keep running and
+     their responses are still written. *)
+  List.iter stop_reading conns;
+  let deadline = Unix.gettimeofday () +. timeout_s in
+  let rec wait () =
+    if List.for_all finished conns then `Clean
+    else if Unix.gettimeofday () > deadline then begin
+      let stuck = List.filter (fun c -> not (finished c)) conns in
+      List.iter abort stuck;
+      `Forced (List.length stuck)
+    end
+    else begin
+      Unix.sleepf 0.002;
+      wait ()
+    end
+  in
+  let outcome = wait () in
+  List.iter join conns;
+  outcome

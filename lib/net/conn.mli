@@ -1,60 +1,62 @@
-(** One client connection: a reader thread and a writer thread around
-    a bounded response queue.
+(** Client connections of one serving endpoint ({!Server} or the
+    cluster router): per connection, a reader thread and a writer
+    thread around a bounded queue of encoded response lines.
 
     {b Protocol.}  The reader consumes JSON-lines frames
     ({!Request.decode_line} — the same per-line step [serve-batch]
-    uses), asks {!Admission} for a slot, and either submits the request
-    to the pool or enqueues an immediate typed [Overloaded] response.
-    Responses are written as the pool finishes them, so they may come
-    back {e out of request order}; the [id] field is the correlation
-    key, exactly as the batch ABI documents.  Malformed, oversized and
-    truncated frames become typed [Parse_error] responses (id = line
-    number) and the connection {e keeps serving}.
+    uses) and hands each request to the endpoint's [submit], which
+    answers through a callback with one encoded line.  Lines are
+    written as the callbacks fire, so they may go out {e out of request
+    order}; the [id] field is the correlation key, exactly as the batch
+    ABI documents.  Malformed, oversized and truncated frames are
+    answered here with typed [Parse_error] lines (id = line number),
+    encoded with {!Request.response_to_json}, and the connection
+    {e keeps serving}.  Admission is the endpoint's business: a shed is
+    just another line its [submit] hands back.
 
-    {b Backpressure.}  Two bounds, two mechanisms.  Globally,
-    {!Admission} sheds.  Per connection, the reader pauses while this
-    connection is owed [per_conn_window] responses not yet written —
-    it simply stops reading the socket, so TCP pushes back on the
-    client.  The pause also caps the writer queue: pool callbacks can
-    never block a worker domain on a slow client (there is always
-    room), which is what makes {!Pool.submit}'s "callback must not
-    block" contract safe to rely on.
+    {b Backpressure.}  Per connection, the reader pauses while this
+    connection is owed [per_conn_window] lines not yet written — it
+    simply stops reading the socket, so TCP pushes back on the client.
+    The pause also caps the writer queue: a [submit] callback never
+    blocks (there is always room), which is what makes it safe to fire
+    from a pool worker domain or a shard reader thread.
 
-    {b Disconnects.}  If the peer vanishes mid-request, in-flight
-    requests are {e not} cancelled: the results are computed, their
+    {b Disconnects.}  If the peer vanishes mid-request, submitted
+    requests are {e not} cancelled: they run to completion, their
     oracle questions accounted exactly as batch mode accounts them
-    (Def. 3.9 is about what was asked, not who listened), the admission
-    slots released, and the responses dropped on the dead socket.  The
-    connection finishes when every owed response has been written or
-    dropped. *)
+    (Def. 3.9 is about what was asked, not who listened), and their
+    lines are dropped on the dead socket.  A connection finishes when
+    every owed line has been written or dropped. *)
 
 type config = {
-  admission : Admission.t;
-  submit : Request.t -> (Request.response -> unit) -> unit;
-      (** normally [Pool.submit pool] *)
-  stats : bool;  (** include the [stats] field in responses *)
+  submit : Request.t -> (string -> unit) -> unit;
+      (** Answer a decoded request by calling the callback exactly
+          once, from any thread, with the encoded response line. *)
+  stats : bool;  (** include the [stats] field in this module's errors *)
   max_line : int;
-  per_conn_window : int;  (** >= 1; owed responses before the reader pauses *)
+  per_conn_window : int;  (** >= 1; owed lines before the reader pauses *)
 }
 
-type t
+val default_window : int
+(** 16 — the per-connection window of router clients and the default
+    of [Server.start ?per_conn_window]. *)
 
-val serve : config -> Unix.file_descr -> t
-(** Take ownership of [fd] (closed by {!join}) and start the two
-    threads. *)
+type group
+(** The live connections of one endpoint. *)
 
-val stop_reading : t -> unit
-(** Graceful drain: half-close the receive side so the reader sees EOF
-    after the frames already in flight; admitted requests are still
-    answered and written.  Idempotent. *)
+val group : config -> group
+(** Raises [Invalid_argument] when [per_conn_window < 1]. *)
 
-val abort : t -> unit
-(** Hard stop (drain timeout): shut both directions and make both
-    threads exit promptly; owed responses are dropped.  Idempotent. *)
+val accept : group -> Unix.file_descr -> unit
+(** Take ownership of an accepted socket and start its two threads;
+    finished connections are reaped in passing.  The handler to give
+    {!Listener.run}. *)
 
-val finished : t -> bool
-(** Both threads have returned (every owed response written or
-    dropped). *)
+val accepted : group -> int
+(** Connections accepted so far. *)
 
-val join : t -> unit
-(** Wait for both threads, then close the socket.  Idempotent. *)
+val drain : timeout_s:float -> group -> [ `Clean | `Forced of int ]
+(** Graceful shutdown, once the listener has stopped: half-close every
+    connection's receive side, wait until each has written (or dropped)
+    every owed line, abort the ones still unfinished at [timeout_s] —
+    [`Forced n] — then join every thread and close the sockets. *)

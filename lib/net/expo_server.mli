@@ -4,9 +4,9 @@
     {!Obs.Expo.render_all} and a JSON-lines dump of recent traces.
 
     It is deliberately not a web server: one request per connection,
-    no keep-alive, responses rendered inline on the accept thread with
-    short socket timeouts, so a stuck scraper is dropped rather than
-    served.  The serving front-end proper ({!Server}) never shares a
+    no keep-alive, responses rendered inline on the {!Listener}'s
+    accept thread with short socket timeouts, so a stuck scraper is
+    dropped rather than served.  The serving front-end proper ({!Server}) never shares a
     port or a thread with this listener — a melted-down metrics page
     can never cost a query its latency budget, and vice versa. *)
 

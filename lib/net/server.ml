@@ -1,68 +1,21 @@
 type t = {
-  listen_fd : Unix.file_descr;
-  bound_port : int;
+  listener : Listener.t;
   pool : Pool.t;
   store : Store.t option;
       (* owned: loaded before the pool existed, closed (final snapshot)
          on drain after the pool has quiesced *)
   admission : Admission.t;
-  conn_cfg : Conn.config;
+  conns : Conn.group;
   lock : Mutex.t;
-  mutable conns : Conn.t list;
-  mutable accepted : int;
   mutable drained : bool;
-  mutable accept_thread : Thread.t option;
-  m_connections : Metrics.counter;
   expo : Expo_server.t option;  (* the /metrics side-channel listener *)
   expo_source : Obs.Expo.source;
       (* this server's gauges in the process-wide exposition registry;
          unregistered on drain (tests start many servers per process) *)
 }
 
-(* The loop polls with a short select timeout rather than blocking in
-   accept(2): on Linux, closing the listening socket from another
-   thread does not wake a blocked accept, so drain could never join
-   this thread.  The [drained] flag is checked between polls. *)
-let accept_loop t =
-  let stopping () =
-    Mutex.lock t.lock;
-    let s = t.drained in
-    Mutex.unlock t.lock;
-    s
-  in
-  let rec loop () =
-    if stopping () then ()
-    else
-      match Unix.select [ t.listen_fd ] [] [] 0.05 with
-      | [], _, _ -> loop ()
-      | _ -> (
-          match Unix.accept t.listen_fd with
-          | fd, _addr ->
-              (try Unix.setsockopt fd Unix.TCP_NODELAY true
-               with Unix.Unix_error _ -> ());
-              let conn = Conn.serve t.conn_cfg fd in
-              Mutex.lock t.lock;
-              t.accepted <- t.accepted + 1;
-              (* Reap finished connections in passing so a long-lived
-                 server does not accumulate one record per client ever
-                 served. *)
-              let finished, live = List.partition Conn.finished t.conns in
-              t.conns <- conn :: live;
-              Mutex.unlock t.lock;
-              List.iter Conn.join finished;
-              Metrics.incr t.m_connections;
-              loop ()
-          | exception Unix.Unix_error (Unix.EINTR, _, _) -> loop ())
-      | exception Unix.Unix_error (Unix.EINTR, _, _) -> loop ()
-      | exception Unix.Unix_error (_, _, _) ->
-          (* the listening socket was closed or is broken beyond
-             accepting: either way the loop is over *)
-          ()
-  in
-  loop ()
-
 let start ?(host = "127.0.0.1") ?(port = 0) ?domains ?(window = 64)
-    ?(per_conn_window = 16) ?(max_line = Frame.default_max_line)
+    ?(per_conn_window = Conn.default_window) ?(max_line = Frame.default_max_line)
     ?(stats = true) ?cache_capacity ?engine_config ?tracing ?trace_capacity
     ?metrics_port ?store_dir ?snapshot_interval_s () =
   Frame.ignore_sigpipe ();
@@ -114,21 +67,13 @@ let start ?(host = "127.0.0.1") ?(port = 0) ?domains ?(window = 64)
         Some store
   in
   let admission = Admission.create ~window in
-  let listen_fd = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
-  (try
-     Unix.setsockopt listen_fd Unix.SO_REUSEADDR true;
-     Unix.bind listen_fd
-       (Unix.ADDR_INET (Unix.inet_addr_of_string host, port));
-     Unix.listen listen_fd 128
-   with e ->
-     (try Unix.close listen_fd with Unix.Unix_error _ -> ());
-     Pool.shutdown ~timeout_s:5.0 pool;
-     raise e);
-  let bound_port =
-    match Unix.getsockname listen_fd with
-    | Unix.ADDR_INET (_, p) -> p
-    | Unix.ADDR_UNIX _ -> assert false
+  let listener =
+    try Listener.listen ~host ~port
+    with e ->
+      Pool.shutdown ~timeout_s:5.0 pool;
+      raise e
   in
+  let bound_port = Listener.port listener in
   (* This server's live gauges, contributed to the process-wide
      exposition registry alongside the Metrics counters/histograms the
      serving layers already record. *)
@@ -185,34 +130,16 @@ let start ?(host = "127.0.0.1") ?(port = 0) ?domains ?(window = 64)
                 ss.Shared_memo.rql_defs.Shared_memo.misses;
             ])
   in
-  let expo =
-    match metrics_port with
-    | None -> None
-    | Some mp -> (
-        let routes =
-          let metrics () =
-            ("text/plain; version=0.0.4", Obs.Expo.render_all ())
-          in
-          let traces () =
-            ( "application/json",
-              String.concat ""
-                (List.map
-                   (fun tr -> Obs.Trace.to_json_string tr ^ "\n")
-                   (Pool.traces pool)) )
-          in
-          [ ("/metrics", metrics); ("/", metrics); ("/traces", traces) ]
-        in
-        try Some (Expo_server.start ~host ~port:mp ~routes ())
-        with e ->
-          Obs.Expo.unregister expo_source;
-          (try Unix.close listen_fd with Unix.Unix_error _ -> ());
-          Pool.shutdown ~timeout_s:5.0 pool;
-          raise e)
+  let fail e =
+    Obs.Expo.unregister expo_source;
+    Listener.stop listener;
+    Pool.shutdown ~timeout_s:5.0 pool;
+    raise e
   in
-  (* [Conn] only calls submit for requests that passed admission, so
-     wrapping it journals exactly the admitted requests — a shed
-     touches neither the ledger nor the journal. *)
-  let submit =
+  (* Only admitted requests reach [answer], so wrapping it journals
+     exactly the admitted requests — a shed touches neither the ledger
+     nor the journal. *)
+  let answer =
     let base =
       match store with
       | None -> Pool.submit pool
@@ -247,39 +174,72 @@ let start ?(host = "127.0.0.1") ?(port = 0) ?domains ?(window = 64)
             }
       | _ -> base req k
   in
-  let t =
-    {
-      listen_fd;
-      bound_port;
-      pool;
-      store;
-      admission;
-      conn_cfg =
-        { Conn.admission; submit; stats; max_line; per_conn_window };
-      lock = Mutex.create ();
-      conns = [];
-      accepted = 0;
-      drained = false;
-      accept_thread = None;
-      m_connections = Metrics.counter "server.connections";
-      expo;
-      expo_source;
-    }
+  let encode resp = Json.to_string (Request.response_to_json ~stats resp) in
+  let m_bad_frames = Metrics.counter "server.bad_frames" in
+  let submit (req : Request.t) k =
+    if Admission.try_admit admission then
+      answer req (fun resp ->
+          (* on a pool worker: encode here, hand the line over, then
+             the in-flight window slot comes free *)
+          k (encode resp);
+          Admission.release admission)
+    else begin
+      (* shed at the door, before any engine: zero questions *)
+      Metrics.incr m_bad_frames;
+      k
+        (encode
+           {
+             Request.id = req.Request.id;
+             result =
+               Error (Request.Overloaded { limit = Admission.window admission });
+             cert = Request.Cert_exact;
+             stats = Request.zero_stats;
+           })
+    end
   in
-  t.accept_thread <- Some (Thread.create accept_loop t);
-  t
+  let conns =
+    try Conn.group { Conn.submit; stats; max_line; per_conn_window }
+    with e -> fail e
+  in
+  let expo =
+    match metrics_port with
+    | None -> None
+    | Some mp -> (
+        let routes =
+          let metrics () =
+            ("text/plain; version=0.0.4", Obs.Expo.render_all ())
+          in
+          let traces () =
+            ( "application/json",
+              String.concat ""
+                (List.map
+                   (fun tr -> Obs.Trace.to_json_string tr ^ "\n")
+                   (Pool.traces pool)) )
+          in
+          [ ("/metrics", metrics); ("/", metrics); ("/traces", traces) ]
+        in
+        try Some (Expo_server.start ~host ~port:mp ~routes ()) with e -> fail e)
+  in
+  Listener.run listener (Conn.accept conns);
+  {
+    listener;
+    pool;
+    store;
+    admission;
+    conns;
+    lock = Mutex.create ();
+    drained = false;
+    expo;
+    expo_source;
+  }
 
-let port t = t.bound_port
+let port t = Listener.port t.listener
 let metrics_port t = Option.map Expo_server.port t.expo
 let admission t = t.admission
 let pool t = t.pool
 let store t = t.store
 
-let connections t =
-  Mutex.lock t.lock;
-  let n = t.accepted in
-  Mutex.unlock t.lock;
-  n
+let connections t = Conn.accepted t.conns
 
 let drain ?(timeout_s = 30.0) t =
   Mutex.lock t.lock;
@@ -288,48 +248,17 @@ let drain ?(timeout_s = 30.0) t =
   Mutex.unlock t.lock;
   if already then `Clean
   else begin
-    (* 0. Retire the observability side-channel: stop the /metrics
+    (* Retire the observability side-channel: stop the /metrics
        listener and pull this server's gauges out of the process-wide
        registry (the next server to start registers its own). *)
-    (match t.expo with Some e -> Expo_server.stop e | None -> ());
+    Option.iter Expo_server.stop t.expo;
     Obs.Expo.unregister t.expo_source;
-    (* 1. Stop accepting: the accept loop notices [drained] at its next
-       poll; only then is the listening socket closed. *)
-    (match t.accept_thread with
-    | Some th ->
-        Thread.join th;
-        t.accept_thread <- None
-    | None -> ());
-    (try Unix.close t.listen_fd with Unix.Unix_error _ -> ());
-    Mutex.lock t.lock;
-    let conns = t.conns in
-    t.conns <- [];
-    Mutex.unlock t.lock;
-    (* 2. Half-close every connection: readers see EOF once the frames
-       already sent are consumed; admitted requests keep running and
-       their responses are still written. *)
-    List.iter Conn.stop_reading conns;
-    let deadline = Unix.gettimeofday () +. timeout_s in
-    let rec wait () =
-      if List.for_all Conn.finished conns then `Clean
-      else if Unix.gettimeofday () > deadline then begin
-        (* 3. Timeout: abort the stragglers — both their threads exit
-           promptly and any remaining owed responses are dropped. *)
-        let stuck = List.filter (fun c -> not (Conn.finished c)) conns in
-        List.iter Conn.abort stuck;
-        `Forced (List.length stuck)
-      end
-      else begin
-        Unix.sleepf 0.002;
-        wait ()
-      end
-    in
-    let outcome = wait () in
-    List.iter Conn.join conns;
+    Listener.stop t.listener;
+    let outcome = Conn.drain ~timeout_s t.conns in
     Pool.shutdown ~timeout_s:5.0 t.pool;
-    (* 4. Final durability flush, after the pool has quiesced so the
+    (* Final durability flush, after the pool has quiesced so the
        snapshot sees every completed answer.  [Store.close] bounds the
        flush so drain still terminates on a hung disk. *)
-    (match t.store with Some s -> Store.close s | None -> ());
+    Option.iter Store.close t.store;
     outcome
   end

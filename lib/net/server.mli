@@ -1,6 +1,11 @@
-(** The TCP serving front-end: a listener speaking the JSON-lines ABI,
-    per-connection {!Conn} reader/writer threads feeding a shared
-    {!Pool}, and an {!Admission} window in front of it all.
+(** The TCP serving front-end: a {!Listener} speaking the JSON-lines
+    ABI, per-connection {!Conn} reader/writer threads feeding a shared
+    {!Pool}, and an {!Admission} window in front of it all.  The window
+    is checked in this module's submit step, before any engine: a shed
+    request is answered with the typed [Overloaded] line through the
+    same connection callback and asks zero questions.  Pool responses
+    are encoded on the worker that finished them, so {!Conn} only ever
+    moves finished lines.
 
     The serving semantics are {e exactly} batch mode's: every admitted
     request is evaluated by the same engines, asks the same oracle
@@ -40,8 +45,8 @@ val start :
     ephemeral port; read it back with {!port}), spawn the pool
     ([domains] as {!Pool.create}) and the accept loop.  [window]
     (default 64) is the global in-flight admission bound;
-    [per_conn_window] (default 16) the per-connection owed-response
-    bound; [max_line] (default {!Frame.default_max_line}) the frame
+    [per_conn_window] (default {!Conn.default_window}, 16) the
+    per-connection owed-response bound; [max_line] (default {!Frame.default_max_line}) the frame
     bound; [stats] (default [true]) whether responses carry the
     [stats] field.  [engine_config] arms the same per-request
     budget/deadline/fault machinery as batch serving.

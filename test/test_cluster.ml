@@ -206,10 +206,34 @@ let test_stats_op_at_server () =
 (* ------------------------------------------------------------------ *)
 (* Router: byte passthrough over a live shard                          *)
 
+(* One connection, raw bytes (so the last frame may lack its newline),
+   half-close, every response line until EOF. *)
+let exchange_raw ~port bytes =
+  match Proc.connect ~port () with
+  | Error e -> Alcotest.fail e
+  | Ok fd ->
+      let b = Bytes.of_string bytes in
+      let n = ref 0 in
+      while !n < Bytes.length b do
+        n := !n + Unix.write fd b !n (Bytes.length b - !n)
+      done;
+      Unix.shutdown fd Unix.SHUTDOWN_SEND;
+      let reader = Frame.reader fd in
+      let rec collect acc =
+        match Frame.read reader with
+        | Frame.Line l -> collect (l :: acc)
+        | Frame.Oversized _ | Frame.Truncated _ -> collect acc
+        | Frame.Eof -> List.rev acc
+      in
+      let lines = collect [] in
+      Unix.close fd;
+      lines
+
 let test_router_passthrough () =
-  let shard = Server.start ~domains:1 ~stats:false () in
+  let max_line = 256 in
+  let shard = Server.start ~domains:1 ~stats:false ~max_line () in
   let router =
-    Router.start ~stats:false
+    Router.start ~stats:false ~max_line
       ~shards:[ ("127.0.0.1", Server.port shard) ]
       ()
   in
@@ -218,26 +242,30 @@ let test_router_passthrough () =
       ignore (Router.drain ~timeout_s:30.0 router);
       ignore (Server.drain ~timeout_s:30.0 shard))
     (fun () ->
-      let lines =
-        [
-          {|{"id":4,"op":"sentence","instance":"triangles",|}
-          ^ {|"sentence":"exists x. exists y. R1(x, y)"}|};
-          {|{"id":9,"op":"sentence","instance":"triangles",|}
-          ^ {|"sentence":"forall x. exists y. R1(x, y)"}|};
-        ]
+      (* well-formed requests, then every kind of bad input a client
+         can send; the ids (declared, or the line number for frames
+         without one) are all distinct so sorting normalizes order *)
+      let bytes =
+        String.concat "\n"
+          [
+            {|{"id":4,"op":"sentence","instance":"triangles",|}
+            ^ {|"sentence":"exists x. exists y. R1(x, y)"}|};
+            {|{"id":9,"op":"sentence","instance":"triangles",|}
+            ^ {|"sentence":"forall x. exists y. R1(x, y)"}|};
+            "{definitely not json";
+            {|{"id":20,"op":"classes","type":[2,1],"rank":2,"bogus":1}|};
+            String.make (2 * max_line) 'z';
+            {|{"id":21,"op":"nonsense"}|};
+            (* the truncated final frame: no newline, then half-close *)
+            {|{"id":22,"op":"cla|};
+          ]
       in
-      (* warm the shard directly, then route the same requests: the
-         router must forward the shard's bytes untouched *)
-      let direct =
-        match Proc.send_and_collect ~port:(Server.port shard) lines with
-        | Ok r -> Proc.sort_by_id r
-        | Error e -> Alcotest.fail e
-      in
-      let routed =
-        match Proc.send_and_collect ~port:(Router.port router) lines with
-        | Ok r -> Proc.sort_by_id r
-        | Error e -> Alcotest.fail e
-      in
+      (* warm the shard directly, then route the same bytes: the router
+         must forward the shard's bytes untouched and answer bad frames
+         exactly as the shard does *)
+      let direct = Proc.sort_by_id (exchange_raw ~port:(Server.port shard) bytes) in
+      let routed = Proc.sort_by_id (exchange_raw ~port:(Router.port router) bytes) in
+      check Alcotest.int "every frame answered directly" 7 (List.length direct);
       check Alcotest.(list string) "routed bytes = direct bytes" direct
         routed;
       (* the merged ledger through the router sees the shard's spending *)
@@ -246,6 +274,86 @@ let test_router_passthrough () =
       check Alcotest.bool "cluster total covers the shard's questions" true
         (cluster.Request.l_questions > 0);
       check Alcotest.string "cluster label" "cluster" cluster.Request.l_node)
+
+(* ------------------------------------------------------------------ *)
+(* Router: a client that stops reading is stopped being read           *)
+
+(* A "shard" that accepts connections and reads everything, answering
+   nothing: every routed request stays in flight. *)
+let silent_shard () =
+  let fd = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
+  Unix.setsockopt fd Unix.SO_REUSEADDR true;
+  Unix.bind fd (Unix.ADDR_INET (Unix.inet_addr_of_string "127.0.0.1", 0));
+  Unix.listen fd 8;
+  let port =
+    match Unix.getsockname fd with
+    | Unix.ADDR_INET (_, p) -> p
+    | _ -> assert false
+  in
+  (* not joined, like [slammer_shard] below: the accept thread parks
+     harmlessly until process exit; each reader ends at the router's
+     shutdown of its upstream socket *)
+  let (_ : Thread.t) =
+    Thread.create
+      (fun () ->
+        let rec serve () =
+          match Unix.accept fd with
+          | conn, _ ->
+              let sink () =
+                let buf = Bytes.create 4096 in
+                let rec go () =
+                  match Unix.read conn buf 0 4096 with
+                  | 0 -> ()
+                  | _ -> go ()
+                  | exception Unix.Unix_error _ -> ()
+                in
+                go ();
+                try Unix.close conn with Unix.Unix_error _ -> ()
+              in
+              ignore (Thread.create sink ());
+              serve ()
+          | exception Unix.Unix_error _ -> ()
+        in
+        serve ())
+      ()
+  in
+  (port, fd)
+
+let test_router_client_backpressure () =
+  let p, sfd = silent_shard () in
+  let router = Router.start ~stats:false ~shards:[ ("127.0.0.1", p) ] () in
+  let client = ref None in
+  Fun.protect
+    ~finally:(fun () ->
+      Option.iter Unix.close !client;
+      (* the silent shard owes every flight forever: the drain must
+         cut the client, not wait for it *)
+      ignore (Router.drain ~timeout_s:0.5 router);
+      try Unix.close sfd with Unix.Unix_error _ -> ())
+    (fun () ->
+      let deadline = Unix.gettimeofday () +. 10.0 in
+      while (Router.counters router).Router.shards_up < 1 do
+        if Unix.gettimeofday () > deadline then
+          Alcotest.fail "router never connected to the shard";
+        Unix.sleepf 0.02
+      done;
+      let fd =
+        match Proc.connect ~port:(Router.port router) () with
+        | Ok fd -> fd
+        | Error e -> Alcotest.fail e
+      in
+      client := Some fd;
+      (* pipeline 100 requests and never read a response *)
+      for id = 1 to 100 do
+        Frame.write_line fd
+          (Printf.sprintf
+             {|{"id":%d,"op":"classes","type":[2,1],"rank":2}|} id)
+      done;
+      Unix.sleepf 0.5;
+      let routed = (Router.counters router).Router.routed in
+      check Alcotest.bool
+        (Printf.sprintf "routed %d <= the per-connection window 16" routed)
+        true (routed <= 16))
 
 (* ------------------------------------------------------------------ *)
 (* Regression: a shard that dies abruptly (kill -9, crash) must become
@@ -366,6 +474,11 @@ let () =
         [
           Alcotest.test_case "byte passthrough over a live shard" `Quick
             test_router_passthrough;
+          (* before the dead-shard case: its slammer threads can call
+             accept on their listening fd numbers after those are
+             closed and handed to a later test's sockets *)
+          Alcotest.test_case "a client that stops reading is not read"
+            `Quick test_router_client_backpressure;
           Alcotest.test_case
             "dead shards are typed errors, never router death" `Quick
             test_dead_shard_is_typed_never_fatal;
