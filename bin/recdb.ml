@@ -8,10 +8,7 @@
      recdb sentence -i rado 'forall x. ...'  evaluate an FO sentence
      recdb normalize -t 2 -r 2 '{(x,y)|...}' L⁻ normal form (Thm 2.1)
      recdb serve-batch FILE                  JSON-lines requests -> results
-     recdb bench-engine                      cache + worker-pool benchmark
-     recdb bench-parallel                    shared-memo parallel serving benchmark (E26)
-     recdb crash-test                        kill workers mid-batch, verify containment
-     recdb bench-resilience                  budget/deadline/fault benchmark (E25)
+     recdb bench resilience --smoke          one serving experiment (E24-E33)
 
    Exit codes: 0 success, 1 runtime error (parse failure, unknown
    instance, ...), 124 command-line misuse (unknown subcommand or
@@ -920,349 +917,6 @@ let cmd_loadgen =
       const run $ host_arg $ port $ connections $ requests $ pipeline $ rate
       $ endpoints)
 
-let cmd_bench_server =
-  let doc =
-    "Benchmark the TCP front-end (E27): byte-identity of socket-served \
-     vs. batch-served responses, loopback throughput and latency \
-     quantiles per connection count, and the shed rate at 2x the \
-     admission window (typed overloaded errors; the in-flight high-water \
-     mark never exceeds the window; a shed asks zero oracle questions).  \
-     Exits 1 on any violation."
-  in
-  let out =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "o"; "out" ] ~docv:"FILE" ~doc:"Also write results as JSON.")
-  in
-  let requests =
-    Arg.(
-      value & opt int 400
-      & info [ "requests" ] ~docv:"N" ~doc:"Requests per measurement.")
-  in
-  let conns =
-    Arg.(
-      value
-      & opt (list int) [ 1; 2; 4; 8 ]
-      & info [ "connections" ] ~docv:"N,..."
-          ~doc:"Connection counts for the throughput rows.")
-  in
-  let run out requests conns_list =
-    let result = Net_bench.run ?out ~requests ~conns_list () in
-    match Net_bench.violations result with
-    | [] -> Format.printf "server bench: OK@."
-    | vs ->
-        List.iter (Format.eprintf "violation: %s@.") vs;
-        exit 1
-  in
-  Cmd.v (Cmd.info "bench-server" ~doc)
-    Term.(const run $ out $ requests $ conns)
-
-let cmd_server_smoke =
-  let doc =
-    "CI smoke: fork a real recdb serve child on an ephemeral loopback port \
-     (--port 0, discovered through --port-file), run the load generator \
-     against it, and verify every request is answered with zero errors, \
-     zero sheds, a clean SIGTERM drain, and exit status 0.  Exits 1 \
-     otherwise."
-  in
-  let requests =
-    Arg.(
-      value & opt int 300
-      & info [ "requests" ] ~docv:"N" ~doc:"Total requests.")
-  in
-  let connections =
-    Arg.(
-      value & opt int 4
-      & info [ "c"; "connections" ] ~docv:"N" ~doc:"Concurrent connections.")
-  in
-  let run requests connections =
-    let exe = Sys.executable_name in
-    let dir = "_server_smoke" in
-    Proc.rm_rf dir;
-    (try Unix.mkdir dir 0o755 with Unix.Unix_error (Unix.EEXIST, _, _) -> ());
-    let port_file = Filename.concat dir "server.port" in
-    let log = Filename.concat dir "server.log" in
-    let pid =
-      Proc.spawn ~log
-        [|
-          exe; "serve"; "--port"; "0"; "--port-file"; port_file;
-          "--window"; "256"; "--per-conn-window"; "64";
-        |]
-    in
-    let port =
-      match Proc.wait_port_file port_file with
-      | Ok (port, _) -> port
-      | Error e ->
-          Format.eprintf "server-smoke: %s (child log: %s)@." e log;
-          Proc.kill_and_reap pid Sys.sigkill;
-          exit 1
-    in
-    let report = Loadgen.run ~port ~connections ~requests ~pipeline:4 () in
-    (try Unix.kill pid Sys.sigterm with Unix.Unix_error _ -> ());
-    let status = snd (Unix.waitpid [] pid) in
-    Format.printf "server-smoke: %a@." Loadgen.pp_report report;
-    let failures =
-      (if report.Loadgen.answered <> report.Loadgen.sent then
-         [
-           Printf.sprintf "%d answered of %d sent" report.Loadgen.answered
-             report.Loadgen.sent;
-         ]
-       else [])
-      @ (if report.Loadgen.errors > 0 then
-           [ Printf.sprintf "%d error responses" report.Loadgen.errors ]
-         else [])
-      @ (if report.Loadgen.shed > 0 then
-           [ Printf.sprintf "%d sheds under nominal load" report.Loadgen.shed ]
-         else [])
-      @ (if report.Loadgen.lost > 0 then
-           [ Printf.sprintf "%d requests lost" report.Loadgen.lost ]
-         else [])
-      @
-      match status with
-      | Unix.WEXITED 0 -> []
-      | _ -> [ "child did not drain cleanly on SIGTERM (nonzero exit)" ]
-    in
-    match failures with
-    | [] ->
-        Format.printf "server-smoke: clean shutdown, zero errors@.";
-        Proc.rm_rf dir
-    | fs ->
-        List.iter (Format.eprintf "server-smoke failure: %s@.") fs;
-        Format.eprintf "server-smoke: child log kept at %s@." log;
-        exit 1
-  in
-  Cmd.v (Cmd.info "server-smoke" ~doc) Term.(const run $ requests $ connections)
-
-let cmd_crash_test =
-  let doc =
-    "Chaos-test the worker pool: serve a mixed batch while deliberately \
-     killing the worker domain on every Nth request, then verify \
-     containment — one response per request, crashed requests carry a \
-     typed worker_crash error, and every other response is byte-identical \
-     to a clean sequential run.  Exits 1 on any violation."
-  in
-  let requests =
-    Arg.(
-      value & opt int 200
-      & info [ "requests" ] ~docv:"N" ~doc:"Batch size.")
-  in
-  let jobs =
-    Arg.(
-      value & opt int 3
-      & info [ "j"; "jobs" ] ~docv:"N" ~doc:"Worker domains.")
-  in
-  let every =
-    Arg.(
-      value & opt int 25
-      & info [ "every" ] ~docv:"K"
-          ~doc:"Kill the serving worker on requests with id divisible by K.")
-  in
-  let run requests jobs every =
-    if requests < 1 || jobs < 1 || every < 1 then begin
-      Format.eprintf "requests, jobs and every must all be >= 1@.";
-      exit 1
-    end;
-    let batch = Engine_bench.build_batch requests in
-    let reference = Engine.handle_all (Engine.create ()) batch in
-    let pool =
-      Pool.create ~domains:jobs
-        ~crash_on:(fun r -> r.Request.id mod every = 0)
-        ()
-    in
-    let responses = Pool.run_batch pool batch in
-    let deaths = Pool.worker_deaths pool in
-    Pool.shutdown pool;
-    let violations = ref [] in
-    let violation fmt =
-      Format.kasprintf (fun s -> violations := s :: !violations) fmt
-    in
-    if List.length responses <> requests then
-      violation "%d responses for %d requests" (List.length responses)
-        requests
-    else
-      List.iter2
-        (fun (r : Request.response) (ref_r : Request.response) ->
-          if r.id <> ref_r.id then
-            violation "response id %d out of order (expected %d)" r.id
-              ref_r.id
-          else if r.id mod every = 0 then (
-            match r.result with
-            | Error (Request.Worker_crash _) -> ()
-            | _ ->
-                violation "request %d should have died with worker_crash"
-                  r.id)
-          else
-            let s r =
-              Json.to_string (Request.response_to_json ~stats:false r)
-            in
-            if not (String.equal (s r) (s ref_r)) then
-              violation "request %d differs from the sequential run" r.id)
-        responses reference;
-    let crashed =
-      List.length
-        (List.filter
-           (fun (r : Request.response) ->
-             match r.result with
-             | Error (Request.Worker_crash _) -> true
-             | _ -> false)
-           responses)
-    in
-    Format.printf
-      "crash-test: %d requests on %d workers, crashing every %dth id: %d \
-       worker deaths, %d crashed responses, %d clean@."
-      requests jobs every deaths crashed (requests - crashed);
-    match !violations with
-    | [] -> Format.printf "containment holds: all clean responses identical \
-                           to a sequential run@."
-    | vs ->
-        List.iter (Format.eprintf "violation: %s@.") (List.rev vs);
-        exit 1
-  in
-  Cmd.v (Cmd.info "crash-test" ~doc) Term.(const run $ requests $ jobs $ every)
-
-let cmd_bench_resilience =
-  let doc =
-    "Benchmark the resilience layer (E25): budget-guard overhead on \
-     repeated evaluation, deadline/budget trips on a diverging request, \
-     and retry determinism under injected faults."
-  in
-  let out =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "o"; "out" ] ~docv:"FILE" ~doc:"Also write results as JSON.")
-  in
-  let trials =
-    Arg.(
-      value & opt int 3
-      & info [ "trials" ] ~docv:"N" ~doc:"Timing trials (best is kept).")
-  in
-  let requests =
-    Arg.(
-      value & opt int 2000
-      & info [ "requests" ] ~docv:"N"
-          ~doc:"Batch size for the overhead measurement.")
-  in
-  let fault_requests =
-    Arg.(
-      value & opt int 200
-      & info [ "fault-requests" ] ~docv:"N"
-          ~doc:"Batch size for the fault-injection run.")
-  in
-  let run out trials requests fault_requests =
-    ignore
-      (Engine_bench.run_resilience ?out ~trials ~requests ~fault_requests ())
-  in
-  Cmd.v
-    (Cmd.info "bench-resilience" ~doc)
-    Term.(const run $ out $ trials $ requests $ fault_requests)
-
-let cmd_bench_parallel =
-  let doc =
-    "Benchmark parallel serving with the shared memo layer (E26): \
-     cold/warm batch throughput per domain count (counts above \
-     Domain.recommended_domain_count are reported as skipped), \
-     byte-identity of every pool response to the sequential reference, \
-     and the cross-worker question bound (pool-wide genuine oracle \
-     questions never exceed the sequential count).  Exits 1 if any \
-     measured run is not byte-identical, exceeds the question bound, or \
-     loses a worker."
-  in
-  let out =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "o"; "out" ] ~docv:"FILE" ~doc:"Also write results as JSON.")
-  in
-  let requests =
-    Arg.(
-      value & opt int 600
-      & info [ "requests" ] ~docv:"N" ~doc:"Batch size (default 600).")
-  in
-  let domains =
-    Arg.(
-      value
-      & opt (list int) [ 1; 2; 4; 8 ]
-      & info [ "domains" ] ~docv:"N,..."
-          ~doc:"Domain counts to measure (default 1,2,4,8).")
-  in
-  let run out requests domains_list =
-    let p = Engine_bench.run_parallel ?out ~requests ~domains_list () in
-    let violations =
-      List.concat_map
-        (fun (r : Engine_bench.parallel_run) ->
-          if r.Engine_bench.p_skipped then []
-          else
-            (if r.Engine_bench.p_identical then []
-             else
-               [
-                 Printf.sprintf "%d domains: results differ from sequential"
-                   r.Engine_bench.p_domains;
-               ])
-            @ (if r.Engine_bench.questions_ok then []
-               else
-                 [
-                   Printf.sprintf
-                     "%d domains: %d questions > sequential %d"
-                     r.Engine_bench.p_domains r.Engine_bench.p_questions
-                     p.Engine_bench.seq_questions;
-                 ])
-            @
-            if r.Engine_bench.p_deaths = 0 then []
-            else
-              [
-                Printf.sprintf "%d domains: %d worker death(s)"
-                  r.Engine_bench.p_domains r.Engine_bench.p_deaths;
-              ])
-        p.Engine_bench.p_runs
-    in
-    match violations with
-    | [] -> Format.printf "parallel serving: OK@."
-    | vs ->
-        List.iter (Format.eprintf "violation: %s@.") vs;
-        exit 1
-  in
-  Cmd.v
-    (Cmd.info "bench-parallel" ~doc)
-    Term.(const run $ out $ requests $ domains)
-
-let cmd_bench_obs =
-  let doc =
-    "Benchmark the observability subsystem (E28): tracing overhead on the \
-     batch workload with sampling off / 1-in-64 / full (off and sampled \
-     must stay under 5%), byte-identity of every response in every mode \
-     (observation must not change a served byte), ledger exactness (every \
-     traced request's span slices sum to its response's question count), \
-     and a worked span tree for a budget-tripped request.  Exits 1 on any \
-     violation."
-  in
-  let out =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "o"; "out" ] ~docv:"FILE" ~doc:"Also write results as JSON.")
-  in
-  let requests =
-    Arg.(
-      value & opt int 2000
-      & info [ "requests" ] ~docv:"N" ~doc:"Batch size per trial.")
-  in
-  let trials =
-    Arg.(
-      value & opt int 3
-      & info [ "trials" ] ~docv:"N" ~doc:"Timing trials (best is kept).")
-  in
-  let run out requests trials =
-    let r = Engine_bench.run_obs ?out ~requests ~trials () in
-    match r.Engine_bench.ob_violations with
-    | [] -> Format.printf "obs bench: OK@."
-    | vs ->
-        List.iter (Format.eprintf "violation: %s@.") vs;
-        exit 1
-  in
-  Cmd.v (Cmd.info "bench-obs" ~doc) Term.(const run $ out $ requests $ trials)
-
 let cmd_stats =
   let doc =
     "One-shot scrape of a running server's metrics listener: fetch a path \
@@ -1352,187 +1006,6 @@ let cmd_stats =
   in
   Cmd.v (Cmd.info "stats" ~doc)
     Term.(const run $ host_arg $ port $ path $ ledger)
-
-(* The exposition format checks obs-smoke runs against a scrape body:
-   every family the serving stack is known to register must be present,
-   and every histogram's cumulative le-ladder must be monotone. *)
-let check_exposition body =
-  let failures = ref [] in
-  let fail fmt = Format.kasprintf (fun s -> failures := s :: !failures) fmt in
-  let lines = String.split_on_char '\n' body in
-  let required =
-    [
-      "engine_requests_total";
-      "engine_plans_compiled_total";
-      "engine_compile_ns_total";
-      "engine_latency_seconds";
-      "server_frames_dropped_oversized_total";
-      "server_frames_parse_error_total";
-      "server_scrapes_total";
-      "admission_window";
-      "admission_admitted_total";
-      "pool_oracle_questions";
-      "pool_cache_hits";
-    ]
-  in
-  List.iter
-    (fun name ->
-      let present =
-        List.exists
-          (fun l ->
-            String.length l > String.length name
-            && String.sub l 0 (String.length name) = name
-            && (l.[String.length name] = ' ' || l.[String.length name] = '_'
-               || l.[String.length name] = '{'))
-          lines
-      in
-      if not present then fail "missing metric family %s" name)
-    required;
-  (* Bucket monotonicity: within one histogram, counts never decrease
-     down the le ladder, and the +Inf bucket equals _count. *)
-  let bucket_of l =
-    match String.index_opt l '{' with
-    | Some i when String.length l > 7 && String.sub l 0 1 <> "#" -> (
-        let name = String.sub l 0 i in
-        match String.rindex_opt l ' ' with
-        | Some sp -> (
-            try
-              Some (name, int_of_string (String.sub l (sp + 1)
-                                            (String.length l - sp - 1)))
-            with _ -> None)
-        | None -> None)
-    | _ -> None
-  in
-  let last : (string * int) option ref = ref None in
-  List.iter
-    (fun l ->
-      match bucket_of l with
-      | Some (name, v) -> (
-          (match !last with
-          | Some (prev_name, prev_v) when prev_name = name && v < prev_v ->
-              fail "histogram %s: bucket count %d < previous %d" name v prev_v
-          | _ -> ());
-          last := Some (name, v))
-      | None -> last := None)
-    lines;
-  List.rev !failures
-
-let cmd_obs_smoke =
-  let doc =
-    "CI smoke for the observability subsystem: start a server with tracing \
-     sampled and a metrics listener on an ephemeral port, drive it with the \
-     load generator, then scrape /metrics (asserting the exposition is \
-     well-formed: required families present, histogram buckets monotone) \
-     and /traces (asserting every line parses as JSON and carries a span \
-     tree).  Exits 1 on any failure."
-  in
-  let requests =
-    Arg.(
-      value & opt int 200
-      & info [ "requests" ] ~docv:"N" ~doc:"Total requests.")
-  in
-  let run requests =
-    let server =
-      Server.start ~window:256 ~per_conn_window:64
-        ~tracing:(Obs.Trace.Every 4) ~metrics_port:0 ()
-    in
-    let mport =
-      match Server.metrics_port server with
-      | Some p -> p
-      | None ->
-          Format.eprintf "obs-smoke: no metrics listener came up@.";
-          exit 1
-    in
-    let report =
-      Loadgen.run ~port:(Server.port server) ~connections:4 ~requests
-        ~pipeline:4 ()
-    in
-    let metrics_body = Expo_server.get ~port:mport ~path:"/metrics" () in
-    let traces_body = Expo_server.get ~port:mport ~path:"/traces" () in
-    let missing_route = Expo_server.get ~port:mport ~path:"/nonsense" () in
-    let outcome = Server.drain ~timeout_s:30.0 server in
-    let failures =
-      (if report.Loadgen.answered <> report.Loadgen.sent then
-         [
-           Printf.sprintf "%d answered of %d sent" report.Loadgen.answered
-             report.Loadgen.sent;
-         ]
-       else [])
-      @ (if report.Loadgen.errors > 0 then
-           [ Printf.sprintf "%d error responses" report.Loadgen.errors ]
-         else [])
-      @ (match metrics_body with
-        | Error reason -> [ Printf.sprintf "/metrics scrape failed: %s" reason ]
-        | Ok body ->
-            List.map (Printf.sprintf "/metrics: %s") (check_exposition body))
-      @ (match traces_body with
-        | Error reason -> [ Printf.sprintf "/traces scrape failed: %s" reason ]
-        | Ok body ->
-            let lines =
-              List.filter
-                (fun l -> String.trim l <> "")
-                (String.split_on_char '\n' body)
-            in
-            (if lines = [] then [ "/traces: no sampled traces collected" ]
-             else [])
-            @ List.concat_map
-                (fun l ->
-                  match Json.parse l with
-                  | Ok (Json.Obj kvs)
-                    when List.mem_assoc "root" kvs
-                         && List.mem_assoc "questions" kvs -> []
-                  | Ok _ -> [ Printf.sprintf "/traces: not a span tree: %s" l ]
-                  | Error e ->
-                      [ Printf.sprintf "/traces: unparseable line (%s)" e ])
-                lines)
-      @ (match missing_route with
-        | Error _ -> []
-        | Ok _ -> [ "/nonsense answered 200; expected 404" ])
-      @
-      match outcome with
-      | `Clean -> []
-      | `Forced n -> [ Printf.sprintf "drain aborted %d connection(s)" n ]
-    in
-    match failures with
-    | [] ->
-        Format.printf
-          "obs-smoke: %d requests, exposition well-formed, traces parse, \
-           clean drain@."
-          report.Loadgen.answered
-    | fs ->
-        List.iter (Format.eprintf "obs-smoke failure: %s@.") fs;
-        exit 1
-  in
-  Cmd.v (Cmd.info "obs-smoke" ~doc) Term.(const run $ requests)
-
-let cmd_bench_engine =
-  let doc =
-    "Benchmark the engine: oracle-call savings from the LRU cache on \
-     repeated evaluation, and batch throughput on 1/2/4 worker domains."
-  in
-  let out =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "o"; "out" ] ~docv:"FILE" ~doc:"Also write results as JSON.")
-  in
-  let repeats =
-    Arg.(
-      value & opt int 25
-      & info [ "repeats" ] ~docv:"N" ~doc:"Cache-workload repetitions.")
-  in
-  let requests =
-    Arg.(
-      value & opt int 1000
-      & info [ "requests" ] ~docv:"N" ~doc:"Batch size for the pool runs.")
-  in
-  let run out repeats requests =
-    Format.printf "engine benchmark:@.";
-    Engine_bench.run ?out ~repeats ~requests ()
-  in
-  Cmd.v
-    (Cmd.info "bench-engine" ~doc)
-    Term.(const run $ out $ repeats $ requests)
 
 let cmd_rql =
   let doc =
@@ -1654,185 +1127,6 @@ let cmd_rql =
       const run $ inst $ cutoff $ naive $ explain $ open_world_flag
       $ decl_flags $ query)
 
-let cmd_bench_rql =
-  let doc =
-    "Benchmark the RQL planner (E29): Def. 3.9 questions naive vs \
-     cost-planned on a mixed fixpoint workload, plan-cache behaviour on \
-     a warm re-serve, byte-identity across all modes.  Exits 1 on any \
-     violation."
-  in
-  let out =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "o"; "out" ] ~docv:"FILE" ~doc:"Also write results as JSON.")
-  in
-  let requests =
-    Arg.(
-      value & opt int 120
-      & info [ "requests" ] ~docv:"N" ~doc:"Workload size.")
-  in
-  let run out requests =
-    let r = Engine_bench.run_rql ?out ~requests () in
-    if r.Engine_bench.r_violations <> [] then exit 1
-  in
-  Cmd.v (Cmd.info "bench-rql" ~doc) Term.(const run $ out $ requests)
-
-let cmd_bench_compile =
-  let doc =
-    "Benchmark the compiled evaluation tier (E31): interpreter-vs-compiled \
-     hot loops (gated at --min-speedup), then a mixed batch served with \
-     compilation off and on, checking response bytes and the Def. 3.9 \
-     question ledger pairwise on every request.  Exits 1 on any violation."
-  in
-  let out =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "o"; "out" ] ~docv:"FILE" ~doc:"Also write results as JSON.")
-  in
-  let requests =
-    Arg.(
-      value & opt int 200
-      & info [ "requests" ] ~docv:"N" ~doc:"Pairwise-checked batch size.")
-  in
-  let min_speedup =
-    Arg.(
-      value & opt float 5.0
-      & info [ "min-speedup" ] ~docv:"X"
-          ~doc:"Acceptance gate for the interpretation-bound hot loops.")
-  in
-  let run out requests min_speedup =
-    let k = Engine_bench.run_compile ?out ~requests ~min_speedup () in
-    if k.Engine_bench.k_violations <> [] then exit 1
-  in
-  Cmd.v (Cmd.info "bench-compile" ~doc)
-    Term.(const run $ out $ requests $ min_speedup)
-
-let cmd_rql_smoke =
-  let doc =
-    "CI smoke for the RQL front-end: fork a real recdb serve child on an \
-     ephemeral loopback port (--port 0, discovered through --port-file), \
-     send the committed golden request file over a socket, and diff the \
-     responses (sorted by id, stats stripped) against the committed \
-     expected output.  Exits 1 on any difference."
-  in
-  let requests_file =
-    Arg.(
-      value
-      & opt string "test/golden/rql_requests.jsonl"
-      & info [ "requests" ] ~docv:"FILE" ~doc:"Golden request file.")
-  in
-  let expected_file =
-    Arg.(
-      value
-      & opt string "test/golden/rql_expected.jsonl"
-      & info [ "expected" ] ~docv:"FILE" ~doc:"Expected response file.")
-  in
-  let update =
-    Arg.(
-      value & flag
-      & info [ "update" ]
-          ~doc:"Rewrite the expected file with the observed responses.")
-  in
-  let read_lines path =
-    let ic = open_in path in
-    let rec go acc =
-      match input_line ic with
-      | line -> go (if String.trim line = "" then acc else line :: acc)
-      | exception End_of_file ->
-          close_in ic;
-          List.rev acc
-    in
-    go []
-  in
-  let run requests_file expected_file update =
-    let requests = read_lines requests_file in
-    if requests = [] then begin
-      Format.eprintf "rql-smoke: no requests in %s@." requests_file;
-      exit 1
-    end;
-    (* stats vary with memo state; the golden contract is the
-       deterministic part of each response only. *)
-    let exe = Sys.executable_name in
-    let dir = "_rql_smoke" in
-    Proc.rm_rf dir;
-    (try Unix.mkdir dir 0o755 with Unix.Unix_error (Unix.EEXIST, _, _) -> ());
-    let port_file = Filename.concat dir "server.port" in
-    let log = Filename.concat dir "server.log" in
-    let pid =
-      Proc.spawn ~log
-        [|
-          exe; "serve"; "--port"; "0"; "--port-file"; port_file; "--no-stats";
-          "--window"; "64"; "--per-conn-window"; "32";
-        |]
-    in
-    let port =
-      match Proc.wait_port_file port_file with
-      | Ok (port, _) -> port
-      | Error e ->
-          Format.eprintf "rql-smoke: %s (child log: %s)@." e log;
-          Proc.kill_and_reap pid Sys.sigkill;
-          exit 1
-    in
-    let responses =
-      match Proc.send_and_collect ~port requests with
-      | Ok responses -> responses
-      | Error e ->
-          Format.eprintf "rql-smoke: workload send failed: %s@." e;
-          Proc.kill_and_reap pid Sys.sigkill;
-          exit 1
-    in
-    (try Unix.kill pid Sys.sigterm with Unix.Unix_error _ -> ());
-    (match Unix.waitpid [] pid with
-    | _, Unix.WEXITED 0 -> Proc.rm_rf dir
-    | _ ->
-        Format.eprintf
-          "rql-smoke: child did not drain cleanly on SIGTERM (log: %s)@." log;
-        exit 1);
-    (* The server may answer out of order across the pipeline; the
-       golden file is committed sorted by id. *)
-    let observed = Proc.sort_by_id responses in
-    if update then begin
-      let oc = open_out expected_file in
-      List.iter
-        (fun l ->
-          output_string oc l;
-          output_char oc '\n')
-        observed;
-      close_out oc;
-      Format.printf "rql-smoke: wrote %d responses to %s@."
-        (List.length observed) expected_file
-    end
-    else begin
-      let expected = read_lines expected_file in
-      let rec diff i e o acc =
-        match (e, o) with
-        | [], [] -> List.rev acc
-        | e :: es, o :: os ->
-            diff (i + 1) es os
-              (if String.equal e o then acc
-               else Printf.sprintf "line %d:\n  expected: %s\n  got:      %s" i e o :: acc)
-        | e :: es, [] ->
-            diff (i + 1) es []
-              (Printf.sprintf "line %d missing (expected %s)" i e :: acc)
-        | [], o :: os ->
-            diff (i + 1) [] os
-              (Printf.sprintf "line %d unexpected: %s" i o :: acc)
-      in
-      match diff 1 expected observed [] with
-      | [] ->
-          Format.printf
-            "rql-smoke: %d responses match %s, clean drain@."
-            (List.length observed) expected_file
-      | diffs ->
-          List.iter (Format.eprintf "rql-smoke difference: %s@.") diffs;
-          exit 1
-    end
-  in
-  Cmd.v (Cmd.info "rql-smoke" ~doc)
-    Term.(const run $ requests_file $ expected_file $ update)
-
 let cmd_store_inspect =
   let doc =
     "Inspect a durable store directory (read-only, safe against a live \
@@ -1853,245 +1147,6 @@ let cmd_store_inspect =
     print_string (Store.inspect ~dir)
   in
   Cmd.v (Cmd.info "store-inspect" ~doc) Term.(const run $ dir)
-
-let cmd_bench_store =
-  let doc =
-    "Benchmark durability (E30): cold vs warm-start Def. 3.9 questions and \
-     time-to-first-response on the mixed workload, snapshot size, and \
-     fault-recovery rows (truncation, bit flip, future format version).  \
-     Exits 1 on any violation — warm must be byte-identical with < 5% of \
-     cold's questions, faults must recover to correct answers."
-  in
-  let out =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "o"; "out" ] ~docv:"FILE" ~doc:"Also write results as JSON.")
-  in
-  let requests =
-    Arg.(
-      value & opt int 160
-      & info [ "requests" ] ~docv:"N" ~doc:"Workload size.")
-  in
-  let run out requests =
-    let r = Store_bench.run ?out ~requests () in
-    if r.Store_bench.b_violations <> [] then exit 1
-  in
-  Cmd.v (Cmd.info "bench-store" ~doc) Term.(const run $ out $ requests)
-
-let cmd_store_smoke =
-  let doc =
-    "CI crash-recovery smoke: serve the mixed workload through a durable \
-     child server, kill -9 it mid-load after a snapshot, restart on the \
-     same store, and verify the warm server's responses are byte-identical \
-     to a sequential reference while asking < 5% of the cold run's oracle \
-     questions.  Exits 1 on any violation."
-  in
-  let requests =
-    Arg.(
-      value & opt int 120
-      & info [ "requests" ] ~docv:"N" ~doc:"Workload size.")
-  in
-  let dir_arg =
-    Arg.(
-      value & opt string "_store_smoke"
-      & info [ "dir" ] ~docv:"DIR" ~doc:"Scratch store directory.")
-  in
-  let rec rm_rf path =
-    if Sys.file_exists path then
-      if Sys.is_directory path then begin
-        Array.iter (fun f -> rm_rf (Filename.concat path f)) (Sys.readdir path);
-        Unix.rmdir path
-      end
-      else Sys.remove path
-  in
-  (* Child management: the smoke forks real [recdb serve] processes so
-     kill -9 exercises genuine crash recovery, not an in-process fake. *)
-  let spawn_serve ~exe ~dir ~port_file ~log =
-    (try Sys.remove port_file with Sys_error _ -> ());
-    let log_fd =
-      Unix.openfile log [ Unix.O_WRONLY; Unix.O_CREAT; Unix.O_APPEND ] 0o644
-    in
-    let pid =
-      Unix.create_process exe
-        [|
-          exe; "serve"; "--port"; "0"; "-j"; "1"; "--no-stats";
-          "--metrics-port"; "0"; "--store"; dir;
-          "--snapshot-interval"; "0.4"; "--port-file"; port_file;
-        |]
-        Unix.stdin log_fd log_fd
-    in
-    Unix.close log_fd;
-    pid
-  in
-  let wait_port_file path =
-    let deadline = Unix.gettimeofday () +. 20. in
-    let rec go () =
-      if Sys.file_exists path then begin
-        let ic = open_in path in
-        let p = int_of_string (String.trim (input_line ic)) in
-        let mp =
-          match input_line ic with
-          | l -> Some (int_of_string (String.trim l))
-          | exception End_of_file -> None
-        in
-        close_in ic;
-        (p, mp)
-      end
-      else if Unix.gettimeofday () > deadline then begin
-        Format.eprintf "store-smoke: child never wrote %s@." path;
-        exit 1
-      end
-      else begin
-        Unix.sleepf 0.05;
-        go ()
-      end
-    in
-    go ()
-  in
-  let send_and_collect ~port lines =
-    let fd = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
-    Unix.connect fd (Unix.ADDR_INET (Unix.inet_addr_loopback, port));
-    List.iter (fun line -> Frame.write_line fd line) lines;
-    Unix.shutdown fd Unix.SHUTDOWN_SEND;
-    let reader = Frame.reader fd in
-    let rec collect acc =
-      match Frame.read reader with
-      | Frame.Line line -> collect (line :: acc)
-      | Frame.Oversized _ | Frame.Truncated _ -> collect acc
-      | Frame.Eof -> List.rev acc
-    in
-    let responses = collect [] in
-    (try Unix.close fd with Unix.Unix_error _ -> ());
-    responses
-  in
-  let scrape_gauge ~metrics_port name =
-    match Expo_server.get ~port:metrics_port ~path:"/metrics" () with
-    | Error e ->
-        Format.eprintf "store-smoke: metrics scrape failed: %s@." e;
-        None
-    | Ok body ->
-        let prefix = name ^ " " in
-        String.split_on_char '\n' body
-        |> List.find_map (fun line ->
-               if String.length line > String.length prefix
-                  && String.sub line 0 (String.length prefix) = prefix
-               then
-                 float_of_string_opt
-                   (String.sub line (String.length prefix)
-                      (String.length line - String.length prefix))
-               else None)
-  in
-  let id_of line =
-    match Json.parse line with
-    | Ok j -> ( match Json.member "id" j with Some (Json.Int i) -> i | _ -> -1)
-    | Error _ -> -1
-  in
-  let sort_by_id lines =
-    List.sort (fun a b -> compare (id_of a) (id_of b)) lines
-  in
-  let run requests dir =
-    let exe = Sys.executable_name in
-    rm_rf dir;
-    let port_file = dir ^ ".port" and log = dir ^ ".log" in
-    (try Sys.remove log with Sys_error _ -> ());
-    let batch =
-      Engine_bench.build_batch (max 1 (requests * 3 / 4))
-      @ Engine_bench.build_rql_batch ~planner:Request.Plan_cost
-          (max 1 (requests / 4))
-    in
-    let lines = List.map (fun r -> Json.to_string (Request.to_json r)) batch in
-    let reference =
-      sort_by_id
-        (List.map
-           (fun r -> Json.to_string (Request.response_to_json ~stats:false r))
-           (Engine.handle_all (Engine.create ()) batch))
-    in
-    let failures = ref [] in
-    let fail fmt = Format.kasprintf (fun s -> failures := s :: !failures) fmt in
-    (* --- phase 1: cold durable server ------------------------------ *)
-    let pid = spawn_serve ~exe ~dir ~port_file ~log in
-    let port, metrics = wait_port_file port_file in
-    let cold = sort_by_id (send_and_collect ~port lines) in
-    if cold <> reference then fail "cold responses differ from sequential";
-    let cold_questions =
-      match metrics with
-      | None -> None
-      | Some mp -> scrape_gauge ~metrics_port:mp "pool_oracle_questions"
-    in
-    (* wait for a write-behind snapshot to land, then kill -9 mid-load:
-       re-send the workload and shoot the server while it is answering *)
-    let deadline = Unix.gettimeofday () +. 10. in
-    let rec wait_snapshot () =
-      match metrics with
-      | None -> Unix.sleepf 1.0
-      | Some mp -> (
-          match scrape_gauge ~metrics_port:mp "store_snapshot_last_entries" with
-          | Some n when n > 0. -> ()
-          | _ ->
-              if Unix.gettimeofday () > deadline then
-                fail "no snapshot within 10s of serving"
-              else begin
-                Unix.sleepf 0.1;
-                wait_snapshot ()
-              end)
-    in
-    wait_snapshot ();
-    let killer =
-      Thread.create
-        (fun () ->
-          Unix.sleepf 0.05;
-          Unix.kill pid Sys.sigkill)
-        ()
-    in
-    (* the crash drops the connection mid-stream; whatever arrives
-       before EOF is noise — the contract is about the restart *)
-    (try ignore (send_and_collect ~port lines) with Unix.Unix_error _ -> ());
-    Thread.join killer;
-    ignore (Unix.waitpid [] pid);
-    (* --- phase 2: warm restart on the crashed store ---------------- *)
-    let pid2 = spawn_serve ~exe ~dir ~port_file ~log in
-    let port2, metrics2 = wait_port_file port_file in
-    let warm = sort_by_id (send_and_collect ~port:port2 lines) in
-    if warm <> reference then fail "warm responses differ from sequential";
-    (match (metrics2, cold_questions) with
-    | Some mp, Some coldq -> (
-        (match scrape_gauge ~metrics_port:mp "pool_oracle_questions" with
-        | Some warmq ->
-            if coldq > 0. && warmq >= 0.05 *. coldq then
-              fail "warm questions %.0f not < 5%%%% of cold %.0f" warmq coldq
-            else
-              Format.printf
-                "store-smoke: cold %.0f questions, warm %.0f (%.1f%%)@."
-                coldq warmq
-                (if coldq > 0. then 100. *. warmq /. coldq else 0.)
-        | None -> fail "pool_oracle_questions missing from warm /metrics");
-        match scrape_gauge ~metrics_port:mp "store_last_flush_age_seconds" with
-        | Some _ -> ()
-        | None -> fail "store_last_flush_age_seconds missing from /metrics")
-    | _ -> fail "metrics unavailable; cannot check the question ratio");
-    (* --- phase 3: clean SIGTERM drain flushes a final snapshot ----- *)
-    Unix.kill pid2 Sys.sigterm;
-    (match Unix.waitpid [] pid2 with
-    | _, Unix.WEXITED 0 -> ()
-    | _, _ -> fail "warm server did not exit cleanly on SIGTERM");
-    if not (Sys.file_exists (Filename.concat dir "snapshot.rdb")) then
-      fail "no snapshot after clean drain";
-    (match !failures with
-    | [] ->
-        Format.printf
-          "store-smoke: %d requests; crash mid-load recovered, responses \
-           byte-identical cold and warm, clean drain@."
-          (List.length lines);
-        rm_rf dir;
-        (try Sys.remove port_file with Sys_error _ -> ());
-        (try Sys.remove log with Sys_error _ -> ())
-    | fs ->
-        List.iter (Format.eprintf "store-smoke failure: %s@.") fs;
-        Format.eprintf "store-smoke: child log kept at %s@." log;
-        exit 1)
-  in
-  Cmd.v (Cmd.info "store-smoke" ~doc) Term.(const run $ requests $ dir_arg)
 
 let cmd_shard =
   let doc =
@@ -2328,254 +1383,54 @@ let cmd_router =
       $ hedge_ms $ queue_timeout_ms $ no_stats $ metrics_port $ max_line
       $ port_file)
 
-let cmd_bench_cluster =
+let experiments =
+  [
+    ("engine", Engine_bench.engine);
+    ("resilience", Engine_bench.resilience);
+    ("parallel", Engine_bench.parallel);
+    ("server", Net_bench.run);
+    ("obs", Obs_bench.run);
+    ("rql", Engine_bench.rql);
+    ("store", Store_bench.run);
+    ("compile", Engine_bench.compile);
+    ("cluster", Cluster_bench.run);
+    ("incomplete", Incomplete_bench.run);
+  ]
+
+let cmd_bench =
   let doc =
-    "Benchmark sharded cluster serving (E32): byte-identity and ledger \
-     containment of the mixed workload routed over real shard processes \
-     vs the sequential in-process reference, hedged tail latency under an \
-     injected slow shard (duplicate questions visibly counted), and \
-     kill -9 mid-load recovery through the supervisor.  Exits 1 on any \
-     violation — this is the cluster-smoke CI gate."
+    "Run one serving experiment (E24-E33) and check its claims: engine \
+     (E24), resilience (E25), parallel (E26), server (E27), obs (E28), rql \
+     (E29), store (E30), compile (E31), cluster (E32) or incomplete (E33).  \
+     Prints one line per result row and every violated check; exits 1 if \
+     any check is violated."
+  in
+  let experiment =
+    Arg.(
+      required
+      & pos 0 (some (enum (List.map (fun (n, _) -> (n, n)) experiments))) None
+      & info [] ~docv:"NAME" ~doc:"The experiment.")
+  in
+  let smoke =
+    Arg.(
+      value & flag
+      & info [ "smoke" ]
+          ~doc:"The small CI size instead of the full size.")
   in
   let out =
     Arg.(
       value
       & opt (some string) None
-      & info [ "o"; "out" ] ~docv:"FILE" ~doc:"Also write results as JSON.")
+      & info [ "o"; "out" ] ~docv:"FILE"
+          ~doc:"Also write the rows, violations and an env stamp as JSON.")
   in
-  let requests =
-    Arg.(
-      value & opt int 240
-      & info [ "requests" ] ~docv:"N" ~doc:"Workload size.")
+  let run name smoke out =
+    let result = (List.assoc name experiments) ~smoke in
+    Bench_row.print result;
+    Option.iter (fun path -> Bench_row.write ~smoke path result) out;
+    if result.Bench_row.violations <> [] then exit 1
   in
-  let shards =
-    Arg.(
-      value & opt int 3
-      & info [ "shards" ] ~docv:"N" ~doc:"Shard child processes.")
-  in
-  let run out requests shards =
-    let r =
-      Cluster_bench.run ?out ~requests ~shards ~exe:Sys.executable_name ()
-    in
-    if r.Cluster_bench.c_violations <> [] then exit 1
-  in
-  Cmd.v
-    (Cmd.info "bench-cluster" ~doc)
-    Term.(const run $ out $ requests $ shards)
-
-let cmd_bench_incomplete =
-  let doc =
-    "Benchmark incompleteness-aware answering (E33): per-request mode \
-     containment certain \xe2\x8a\x86 exact \xe2\x8a\x86 possible on the \
-     demo open-world declarations, closed-world byte-identity across all \
-     four modes, approximate-mode convergence to the certain answer as \
-     the consult budget grows, and zero question-ledger overhead for the \
-     certificate machinery.  Exits 1 on any violation."
-  in
-  let out =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "o"; "out" ] ~docv:"FILE" ~doc:"Also write results as JSON.")
-  in
-  let requests =
-    Arg.(
-      value & opt int 120
-      & info [ "requests" ] ~docv:"N" ~doc:"Workload size.")
-  in
-  let run out requests =
-    let r = Incomplete_bench.run ?out ~requests () in
-    if Incomplete_bench.violations r <> [] then exit 1
-  in
-  Cmd.v
-    (Cmd.info "bench-incomplete" ~doc)
-    Term.(const run $ out $ requests)
-
-let cmd_incomplete_smoke =
-  let doc =
-    "CI smoke for incompleteness-aware answering over the wire: start a \
-     server with the demo open-world declarations, send mode-carrying \
-     requests (wire field and RQL text prefix), and check the \
-     certain/exact/possible containment, the typed certificates, that an \
-     exact response carries no cert field, that a closed-world instance \
-     answers identically in every mode, that an unknown top-level field \
-     (a \"mod\" typo) is warn-and-count (scraped from /metrics), and \
-     that --default-mode applies to modeless requests.  Exits 1 on any \
-     failure."
-  in
-  let run () =
-    let failures = ref [] in
-    let fail fmt = Printf.ksprintf (fun s -> failures := s :: !failures) fmt in
-    let decls = decls_of_flags ~open_world:true ~decls:[] in
-    (* Server 1: demo declarations, default mode exact. *)
-    let server =
-      Server.start ~window:64 ~per_conn_window:16 ~metrics_port:0
-        ~engine_config:{ Engine.default_config with decls }
-        ()
-    in
-    let port = Server.port server in
-    let mport =
-      match Server.metrics_port server with
-      | Some p -> p
-      | None ->
-          Format.eprintf "incomplete-smoke: no metrics listener came up@.";
-          exit 1
-    in
-    let rado_sentence mode_fields id =
-      Printf.sprintf
-        {|{"id":%d,"op":"sentence","instance":"rado","sentence":"exists x. exists y. R1(x, y)"%s}|}
-        id mode_fields
-    in
-    let tri_sentence mode_fields id =
-      Printf.sprintf
-        {|{"id":%d,"op":"sentence","instance":"triangles","sentence":"exists x. exists y. R1(x, y)"%s}|}
-        id mode_fields
-    in
-    let lines =
-      [
-        rado_sentence {|,"mode":"certain"|} 1;
-        rado_sentence "" 2;
-        rado_sentence {|,"mode":"possible"|} 3;
-        rado_sentence {|,"mode":"approximate","budget":1|} 4;
-        tri_sentence {|,"mode":"certain"|} 5;
-        tri_sentence "" 6;
-        (* "mod" is a typo'd "mode": warn-and-count, served exact *)
-        tri_sentence {|,"mod":"possible"|} 7;
-        {|{"id":8,"op":"rql","instance":"mod3","text":"mode possible query {(x, y) | R1(x, y)} cutoff 3","cutoff":3}|};
-      ]
-    in
-    let parse_responses raw =
-      List.filter_map
-        (fun l ->
-          match Json.parse l with Ok j -> Some j | Error _ -> None)
-        (Proc.sort_by_id raw)
-    in
-    let field name j = Json.member name j in
-    let cert_kind j =
-      match field "cert" j with
-      | Some c -> (
-          match Json.member "kind" c with
-          | Some (Json.String k) -> Some (k, c)
-          | _ -> None)
-      | None -> None
-    in
-    let ok_bool j =
-      match field "ok" j with
-      | Some ok -> (
-          match Json.member "value" ok with
-          | Some (Json.Bool b) -> Some b
-          | _ -> None)
-      | None -> None
-    in
-    (match Proc.send_and_collect ~port lines with
-    | Error e -> fail "exchange failed: %s" e
-    | Ok raw -> (
-        match parse_responses raw with
-        | [ r1; r2; r3; r4; r5; r6; r7; r8 ] ->
-            (* open world: certain false ⊆ exact true ⊆ possible true *)
-            if ok_bool r1 <> Some false then
-              fail "rado certain: expected false (unknown served as lower)";
-            if ok_bool r2 <> Some true then fail "rado exact: expected true";
-            if ok_bool r3 <> Some true then
-              fail "rado possible: expected true (unknown served as upper)";
-            (match cert_kind r1 with
-            | Some ("certain_lower_bound", _) -> ()
-            | _ -> fail "rado certain: expected a certain_lower_bound cert");
-            if cert_kind r2 <> None then
-              fail "rado exact: response must carry no cert field";
-            (match cert_kind r3 with
-            | Some ("possible_upper_bound", _) -> ()
-            | _ -> fail "rado possible: expected a possible_upper_bound cert");
-            (match cert_kind r4 with
-            | Some ("approximate", c) -> (
-                match Json.member "budget_spent" c with
-                | Some (Json.Int n) when n <= 1 -> ()
-                | _ -> fail "rado approximate: budget_spent exceeds budget 1")
-            | _ -> fail "rado approximate at budget 1: expected to trip");
-            (* closed world: every mode = exact bytes, no certs *)
-            List.iter
-              (fun (name, r) ->
-                if ok_bool r <> ok_bool r6 then
-                  fail "triangles %s: differs from exact" name;
-                if cert_kind r <> None then
-                  fail "triangles %s: unexpected cert on a total instance"
-                    name)
-              [ ("certain", r5); ("typo'd-mode", r7) ];
-            if cert_kind r6 <> None then
-              fail "triangles exact: unexpected cert field";
-            (* RQL text prefix: mode travels in the query text *)
-            (match cert_kind r8 with
-            | Some ("possible_upper_bound", _) -> ()
-            | _ ->
-                fail
-                  "rql 'mode possible' prefix: expected a \
-                   possible_upper_bound cert")
-        | rs -> fail "expected 8 responses, got %d" (List.length rs)));
-    (* the typo'd field must be scrapeable *)
-    (match Expo_server.get ~port:mport ~path:"/metrics" () with
-    | Error reason -> fail "/metrics scrape failed: %s" reason
-    | Ok body ->
-        let counter_at_least name n =
-          List.exists
-            (fun l ->
-              match String.index_opt l ' ' with
-              | Some i when String.sub l 0 i = name ->
-                  (match
-                     int_of_string_opt
-                       (String.trim
-                          (String.sub l (i + 1) (String.length l - i - 1)))
-                   with
-                  | Some v -> v >= n
-                  | None -> false)
-              | _ -> false)
-            (String.split_on_char '\n' body)
-        in
-        if not (counter_at_least "server_frames_unknown_field_total" 1) then
-          fail "metrics: server_frames_unknown_field_total did not count";
-        if not (counter_at_least "engine_mode_certain_total" 1) then
-          fail "metrics: engine_mode_certain_total did not count");
-    (match Server.drain ~timeout_s:30.0 server with
-    | `Clean -> ()
-    | `Forced n -> fail "drain aborted %d connection(s)" n);
-    (* Server 2: --default-mode certain applies to modeless requests. *)
-    let server2 =
-      Server.start ~window:64 ~per_conn_window:16
-        ~engine_config:
-          {
-            Engine.default_config with
-            decls;
-            default_mode = Request.M_certain;
-          }
-        ()
-    in
-    (match
-       Proc.send_and_collect ~port:(Server.port server2) [ rado_sentence "" 1 ]
-     with
-    | Error e -> fail "default-mode exchange failed: %s" e
-    | Ok raw -> (
-        match parse_responses raw with
-        | [ r ] -> (
-            if ok_bool r <> Some false then
-              fail "default-mode certain: expected false";
-            match cert_kind r with
-            | Some ("certain_lower_bound", _) -> ()
-            | _ ->
-                fail "default-mode certain: expected a certain_lower_bound \
-                      cert")
-        | rs -> fail "default-mode: expected 1 response, got %d" (List.length rs)));
-    (match Server.drain ~timeout_s:30.0 server2 with
-    | `Clean -> ()
-    | `Forced n -> fail "drain (server 2) aborted %d connection(s)" n);
-    match List.rev !failures with
-    | [] ->
-        Format.printf
-          "incomplete-smoke: modes, certificates, closed-world identity, \
-           unknown-field counter and --default-mode all check out@."
-    | fs ->
-        List.iter (Format.eprintf "incomplete-smoke failure: %s@.") fs;
-        exit 1
-  in
-  Cmd.v (Cmd.info "incomplete-smoke" ~doc) Term.(const run $ const ())
+  Cmd.v (Cmd.info "bench" ~doc) Term.(const run $ experiment $ smoke $ out)
 
 let () =
   let doc = "query languages over recursive (infinite, computable) databases" in
@@ -2595,24 +1450,9 @@ let () =
             cmd_serve_batch;
             cmd_serve;
             cmd_loadgen;
-            cmd_bench_engine;
-            cmd_bench_parallel;
-            cmd_bench_server;
-            cmd_server_smoke;
-            cmd_crash_test;
-            cmd_bench_resilience;
-            cmd_bench_obs;
             cmd_stats;
-            cmd_obs_smoke;
-            cmd_bench_rql;
-            cmd_bench_compile;
-            cmd_rql_smoke;
             cmd_store_inspect;
-            cmd_bench_store;
-            cmd_store_smoke;
             cmd_shard;
             cmd_router;
-            cmd_bench_cluster;
-            cmd_bench_incomplete;
-            cmd_incomplete_smoke;
+            cmd_bench;
           ]))

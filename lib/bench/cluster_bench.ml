@@ -30,93 +30,43 @@
    - {b stats}: the stats op through the router parses as a ledger
      report carrying one row per shard plus the cluster sum.
 
-   The workload mixes the E17 batch with RQL requests (the store-smoke
-   mix), so routing keys cover both instance-scoped and op-scoped
-   payloads. *)
+   The workload mixes the E24 batch with RQL requests
+   ({!Engine_bench.build_mixed_batch}), so routing keys cover both
+   instance-scoped and op-scoped payloads. *)
 
-type row = {
-  b_name : string;
-  b_requests : int;
-  b_wall_s : float;
-  b_detail : (string * Json.t) list;
-}
-
-type result = {
-  c_shards : int;
-  c_requests : int;
-  c_seq_questions : int;
-  c_rows : row list;
-  c_violations : string list;  (** empty = all acceptance checks pass *)
-}
+module R = Bench_row
 
 let total (l : Request.ledger) = l.Request.l_questions
 
-let row_to_json r =
-  Json.Obj
-    ([
-       ("name", Json.String r.b_name);
-       ("requests", Json.Int r.b_requests);
-       ("wall_s", Json.Float r.b_wall_s);
-     ]
-    @ r.b_detail)
-
-let to_json (r : result) =
-  Json.Obj
-    [
-      ("bench", Json.String "cluster");
-      ("shards", Json.Int r.c_shards);
-      ("requests", Json.Int r.c_requests);
-      ("seq_questions", Json.Int r.c_seq_questions);
-      ("rows", Json.List (List.map row_to_json r.c_rows));
-      ( "violations",
-        Json.List (List.map (fun v -> Json.String v) r.c_violations) );
-    ]
-
-let run ?out ?(requests = 240) ?(shards = 3) ~exe () =
+(* One size: the rows are dominated by fixed stalls and respawn waits,
+   not by the workload. *)
+let run ~smoke:_ =
+  let requests = 240 and shards = 3 in
   Frame.ignore_sigpipe ();
-  let dir = "_cluster_bench" in
-  Proc.rm_rf dir;
-  let violations = ref [] in
-  let violation fmt =
-    Format.kasprintf (fun s -> violations := s :: !violations) fmt
-  in
-  let rows = ref [] in
-  let row name requests wall detail =
-    rows := { b_name = name; b_requests = requests; b_wall_s = wall; b_detail = detail } :: !rows
-  in
+  let dir = R.scratch "cluster" in
+  let b = R.create "cluster" in
+  let violation fmt = R.violation b fmt in
+  let row name requests wall_s detail = R.row b name ~requests ~wall_s detail in
   (* --- sequential reference: bytes and the question baseline -------- *)
-  let batch =
-    Engine_bench.build_batch (max 1 (requests * 3 / 4))
-    @ Engine_bench.build_rql_batch ~planner:Request.Plan_cost
-        (max 1 (requests / 4))
-  in
+  let batch = Engine_bench.build_mixed_batch requests in
   let lines = List.map (fun r -> Json.to_string (Request.to_json r)) batch in
   let seq_engine = Engine.create () in
   let reference =
     Proc.sort_by_id
-      (List.map
-         (fun r -> Json.to_string (Request.response_to_json ~stats:false r))
-         (Engine.handle_all seq_engine batch))
+      (List.map Engine_bench.bytes (Engine.handle_all seq_engine batch))
   in
   let seq_raw, seq_tb, seq_eq, _ = Engine.ledger_counts seq_engine in
   let seq_questions = seq_raw + seq_tb + seq_eq in
   (* --- cluster up: n shards, two front doors over the same ring ----- *)
+  (* lib/bench is linked into recdb itself: the shards are children of
+     the running executable *)
   match
-    Shard_sup.start ~dir ~extra_args:[ "-j"; "1"; "--no-stats" ] ~exe
-      ~n:shards ()
+    Shard_sup.start ~dir ~extra_args:[ "-j"; "1"; "--no-stats" ]
+      ~exe:Sys.executable_name ~n:shards ()
   with
   | Error e ->
-      let result =
-        {
-          c_shards = shards;
-          c_requests = List.length lines;
-          c_seq_questions = seq_questions;
-          c_rows = [];
-          c_violations = [ "supervisor failed to start: " ^ e ];
-        }
-      in
-      Format.eprintf "bench-cluster: %s@." e;
-      result
+      violation "supervisor failed to start: %s" e;
+      R.finish b
   | Ok sup ->
       let endpoints = Shard_sup.endpoints sup in
       (* plain router: rows routed/crash/stats *)
@@ -155,7 +105,7 @@ let run ?out ?(requests = 240) ?(shards = 3) ~exe () =
       wait_ready "plain" router;
       wait_ready "hedging" hedger;
       (* --- row 1: routed byte-identity + ledger containment --------- *)
-      Format.eprintf "bench-cluster: row routed...@.";
+      Format.eprintf "cluster: row routed...@.";
       let t0 = Unix.gettimeofday () in
       let routed = send_sorted (Router.port router) in
       let routed_wall = Unix.gettimeofday () -. t0 in
@@ -194,7 +144,7 @@ let run ?out ?(requests = 240) ?(shards = 3) ~exe () =
          drive a legal baseline and the throughput/latency gap the
          router's own hop.  Lost or error responses on the direct path
          are violations; the overhead itself is reported, not judged. *)
-      Format.eprintf "bench-cluster: row direct...@.";
+      Format.eprintf "cluster: row direct...@.";
       let n = List.length lines in
       let routed_load =
         Loadgen.run ~port:(Router.port router) ~connections:4 ~requests:n
@@ -269,14 +219,14 @@ let run ?out ?(requests = 240) ?(shards = 3) ~exe () =
         Thread.join resume;
         report
       in
-      Format.eprintf "bench-cluster: row hedge (plain door)...@.";
+      Format.eprintf "cluster: row hedge (plain door)...@.";
       let plain_report = stall_run (Router.port router) in
       (* the plain run warmed every question its workload asks; from
          here to the post-hedge sample, every new question in the
          merged ledger is a hedge duplicate a losing shard really
          asked *)
       let q_before_hedge = total (fst (Router.merged_ledger router)) in
-      Format.eprintf "bench-cluster: row hedge (hedging door)...@.";
+      Format.eprintf "cluster: row hedge (hedging door)...@.";
       let hedged_report = stall_run (Router.port hedger) in
       let hcounters = Router.counters hedger in
       let q_after_hedge = total (fst (Router.merged_ledger router)) in
@@ -303,7 +253,7 @@ let run ?out ?(requests = 240) ?(shards = 3) ~exe () =
           ("duplicate_questions", Json.Int duplicates);
         ];
       (* --- row 4: kill -9 mid-load, supervisor respawn, failover ---- *)
-      Format.eprintf "bench-cluster: row crash...@.";
+      Format.eprintf "cluster: row crash...@.";
       let respawns_before = Shard_sup.respawns sup in
       (* kill synchronously, before the load: a warm cluster answers
          the whole run in milliseconds, so a delayed kill would land
@@ -356,7 +306,7 @@ let run ?out ?(requests = 240) ?(shards = 3) ~exe () =
           ("post_recovery_identical", Json.Bool (after_crash = reference));
         ];
       (* --- row 5: the stats op through the front door --------------- *)
-      Format.eprintf "bench-cluster: row stats...@.";
+      Format.eprintf "cluster: row stats...@.";
       let stats_ok =
         match
           Proc.send_and_collect ~port:(Router.port router)
@@ -375,34 +325,7 @@ let run ?out ?(requests = 240) ?(shards = 3) ~exe () =
       ignore (Router.drain ~timeout_s:10.0 router);
       ignore (Router.drain ~timeout_s:10.0 hedger);
       Shard_sup.stop sup;
-      let result =
-        {
-          c_shards = shards;
-          c_requests = List.length lines;
-          c_seq_questions = seq_questions;
-          c_rows = List.rev !rows;
-          c_violations = List.rev !violations;
-        }
-      in
-      Format.printf
-        "bench-cluster: %d requests over %d shards; cluster %d questions, \
-         sequential %d; hedges %d (wins %d, %d duplicate questions); \
-         respawns %d@."
-        result.c_requests shards cluster_q seq_questions
-        hcounters.Router.hedges_fired hcounters.Router.hedge_wins duplicates
-        (Shard_sup.respawns sup);
-      (match result.c_violations with
-      | [] ->
-          Format.printf "bench-cluster: all E32 acceptance checks pass@.";
-          Proc.rm_rf dir
-      | vs ->
-          List.iter (Format.eprintf "bench-cluster violation: %s@.") vs;
-          Format.eprintf "bench-cluster: shard logs kept in %s@." dir);
-      (match out with
-      | None -> ()
-      | Some path ->
-          let oc = open_out path in
-          output_string oc (Json.to_string (to_json result));
-          output_char oc '\n';
-          close_out oc);
-      result
+      let r = R.finish b in
+      if r.R.violations = [] then Proc.rm_rf dir
+      else Format.eprintf "cluster: shard logs kept in %s@." dir;
+      r

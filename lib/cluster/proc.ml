@@ -1,5 +1,5 @@
-(* Child-process plumbing shared by the shard supervisor, the cluster
-   bench and the CI smokes: spawn a real recdb process, discover the
+(* Child-process plumbing shared by the shard supervisor, the router's
+   ledger fan-out and the experiment drivers: spawn a real recdb process, discover the
    ephemeral port it bound through its --port-file, talk to it over a
    one-shot connection.  Everything here forks genuine processes — the
    cluster tier's tests exercise real crash/respawn behaviour, not an
@@ -80,22 +80,32 @@ let send_and_collect ?host ?timeout_s ~port lines =
            with Unix.Unix_error _ -> ());
           (try Unix.setsockopt_float fd Unix.SO_SNDTIMEO s
            with Unix.Unix_error _ -> ()));
-      let result =
-        try
-          List.iter (Frame.write_line fd) lines;
-          Unix.shutdown fd Unix.SHUTDOWN_SEND;
-          let reader = Frame.reader fd in
-          let rec collect acc =
-            match Frame.read reader with
-            | Frame.Line line -> collect (line :: acc)
-            | Frame.Oversized _ | Frame.Truncated _ -> collect acc
-            | Frame.Eof -> List.rev acc
-          in
-          Ok (collect [])
-        with Unix.Unix_error (e, _, _) -> Error (Unix.error_message e)
+      (* a sender thread writes while this thread reads, so neither
+         side's socket buffer can stall a long exchange *)
+      let write_error = ref None in
+      let sender =
+        Thread.create
+          (fun () ->
+            (try List.iter (Frame.write_line fd) lines
+             with Unix.Unix_error (e, _, _) ->
+               write_error := Some (Unix.error_message e));
+            try Unix.shutdown fd Unix.SHUTDOWN_SEND
+            with Unix.Unix_error _ -> ())
+          ()
       in
+      let reader = Frame.reader fd in
+      let rec collect acc =
+        match Frame.read reader with
+        | Frame.Line line -> collect (line :: acc)
+        | Frame.Oversized _ | Frame.Truncated _ -> collect acc
+        | Frame.Eof -> List.rev acc
+      in
+      let responses = collect [] in
+      Thread.join sender;
       (try Unix.close fd with Unix.Unix_error _ -> ());
-      result
+      match !write_error with
+      | Some e -> Error e
+      | None -> Ok responses
 
 let id_of line =
   match Json.parse line with

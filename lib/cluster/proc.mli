@@ -1,7 +1,7 @@
 (** Child-process plumbing for the cluster tier: spawn real [recdb]
     processes, discover their ephemeral ports via [--port-file], talk
     to them over one-shot connections.  Shared by {!Shard_sup}, the
-    cluster bench and the CI smokes, which all fork genuine processes
+    router and the experiment drivers, which all fork genuine processes
     so crash/respawn tests mean what they say. *)
 
 val spawn : ?log:string -> string array -> int
@@ -24,8 +24,10 @@ val send_and_collect :
   port:int ->
   string list ->
   (string list, string) result
-(** One-shot exchange: connect, write every line, half-close, read
-    response lines until EOF.  [Error] on connect/write failure (the
+(** One-shot exchange: connect, write every line and half-close on a
+    sender thread while the caller reads response lines until EOF (so
+    a long exchange never deadlocks on full socket buffers).  [Error]
+    on connect/write failure (the
     peer vanishing mid-read is EOF, not an error — the caller sees a
     short response list instead).  [timeout_s] bounds each socket
     read/write ([SO_RCVTIMEO]); a stalled peer becomes an [Error]

@@ -67,7 +67,6 @@ type t = {
   ring : Ring.t;
   upstreams : (string * upstream) list;  (* name -> upstream *)
   cfg_stats : bool;
-  max_line : int;
   hedge_after_s : float option;
   queue_timeout_s : float;
   lock : Mutex.t;  (* guards pending, uid, counters, flight state *)
@@ -338,18 +337,22 @@ let upstream_manager t (u : upstream) =
             Mutex.unlock t.lock;
             g
           in
-          let reader = Frame.reader ~max_line:t.max_line fd in
+          (* [max_line] bounds untrusted client input; a shard's answer
+             reaches a direct client whatever its length, so it must
+             reach a routed one too *)
+          let reader = Frame.reader ~max_line:max_int fd in
           let rec read_loop () =
             match Frame.read reader with
             | Frame.Line line ->
                 handle_response t line;
                 read_loop ()
-            | Frame.Oversized _ -> read_loop ()
-            | Frame.Truncated _ | Frame.Eof -> ()
+            | Frame.Oversized _ | Frame.Truncated _ | Frame.Eof -> ()
           in
           read_loop ();
-          (* the shard is gone (crash, kill -9, drain): detach the fd,
-             fail the outstanding flights over to siblings, reconnect *)
+          (* the shard is gone (crash, kill -9, drain) or sent a frame
+             that cannot be correlated: detach the fd, fail the
+             outstanding flights over to siblings (each ends with an
+             answer or a typed error, and releases its slot), reconnect *)
           Mutex.lock t.lock;
           if u.u_gen = gen then u.u_fd <- None;
           Mutex.unlock t.lock;
@@ -601,7 +604,6 @@ let start ?(host = "127.0.0.1") ?(port = 0) ?(window = 64) ?hedge_after_s
       ring;
       upstreams;
       cfg_stats = stats;
-      max_line;
       hedge_after_s;
       queue_timeout_s;
       lock = Mutex.create ();

@@ -44,6 +44,8 @@ val start :
     ledger.  [stats] (default true) controls the stats field of
     {e locally generated} responses only (sheds, parse errors, the
     ledger report); forwarded shard responses pass through untouched.
+    [max_line] (default {!Frame.default_max_line}) bounds client
+    frames only: a shard's response is forwarded whatever its length.
     [metrics_port] additionally serves the process-wide Prometheus
     exposition ([cluster_shards_up], [cluster_hedges_fired],
     [cluster_hedge_wins], [cluster_router_sheds],

@@ -107,7 +107,7 @@ let stop = Listener.stop
 
 (* ------------------------------------------------------------------ *)
 (* The matching one-shot client, used by [recdb stats] and the
-   obs-smoke check.  HTTP/1.0 with Connection: close means "read to
+   experiments' scrapes.  HTTP/1.0 with Connection: close means "read to
    EOF" is the whole framing story. *)
 
 let get ?(host = "127.0.0.1") ~port ~path () =

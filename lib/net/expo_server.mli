@@ -31,4 +31,4 @@ val get :
   ?host:string -> port:int -> path:string -> unit -> (string, string) result
 (** One-shot HTTP GET; [Ok body] on a 200, [Error reason] otherwise
     (connect failure, timeout, non-200).  Used by [recdb stats] and the
-    obs-smoke check. *)
+    E28 and E33 experiments' scrapes. *)

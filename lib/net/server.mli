@@ -86,9 +86,8 @@ val pool : t -> Pool.t
     {!Pool.oracle_questions} is the server's Def. 3.9 ledger. *)
 
 val store : t -> Store.t option
-(** The durability tier, when started with [store_dir] — exposed for
-    the crash-recovery smoke and tests ({!Store.inflight_count},
-    {!Store.last_flush_age_s}). *)
+(** The durability tier, when started with [store_dir]
+    ({!Store.inflight_count}, {!Store.last_flush_age_s}). *)
 
 val connections : t -> int
 (** Connections accepted so far. *)

@@ -256,6 +256,11 @@ let test_router_passthrough () =
             {|{"id":20,"op":"classes","type":[2,1],"rank":2,"bogus":1}|};
             String.make (2 * max_line) 'z';
             {|{"id":21,"op":"nonsense"}|};
+            (* a short request whose response (450 bytes) is longer
+               than max_line: the bound is for client input, never
+               for a shard's answer *)
+            {|{"id":23,"op":"query","instance":"mod2",|}
+            ^ {|"query":"{(x,y) | R1(x,y)}","cutoff":12}|};
             (* the truncated final frame: no newline, then half-close *)
             {|{"id":22,"op":"cla|};
           ]
@@ -265,7 +270,7 @@ let test_router_passthrough () =
          exactly as the shard does *)
       let direct = Proc.sort_by_id (exchange_raw ~port:(Server.port shard) bytes) in
       let routed = Proc.sort_by_id (exchange_raw ~port:(Router.port router) bytes) in
-      check Alcotest.int "every frame answered directly" 7 (List.length direct);
+      check Alcotest.int "every frame answered directly" 8 (List.length direct);
       check Alcotest.(list string) "routed bytes = direct bytes" direct
         routed;
       (* the merged ledger through the router sees the shard's spending *)
@@ -281,47 +286,30 @@ let test_router_passthrough () =
 (* A "shard" that accepts connections and reads everything, answering
    nothing: every routed request stays in flight. *)
 let silent_shard () =
-  let fd = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
-  Unix.setsockopt fd Unix.SO_REUSEADDR true;
-  Unix.bind fd (Unix.ADDR_INET (Unix.inet_addr_of_string "127.0.0.1", 0));
-  Unix.listen fd 8;
-  let port =
-    match Unix.getsockname fd with
-    | Unix.ADDR_INET (_, p) -> p
-    | _ -> assert false
-  in
-  (* not joined, like [slammer_shard] below: the accept thread parks
-     harmlessly until process exit; each reader ends at the router's
-     shutdown of its upstream socket *)
-  let (_ : Thread.t) =
-    Thread.create
-      (fun () ->
-        let rec serve () =
-          match Unix.accept fd with
-          | conn, _ ->
-              let sink () =
-                let buf = Bytes.create 4096 in
-                let rec go () =
-                  match Unix.read conn buf 0 4096 with
-                  | 0 -> ()
-                  | _ -> go ()
-                  | exception Unix.Unix_error _ -> ()
-                in
-                go ();
-                try Unix.close conn with Unix.Unix_error _ -> ()
-              in
-              ignore (Thread.create sink ());
-              serve ()
+  let l = Listener.listen ~host:"127.0.0.1" ~port:0 in
+  (* each reader ends at the router's shutdown of its upstream socket *)
+  Listener.run l (fun conn ->
+      let sink () =
+        let buf = Bytes.create 4096 in
+        let rec go () =
+          match Unix.read conn buf 0 4096 with
+          | 0 -> ()
+          | _ -> go ()
           | exception Unix.Unix_error _ -> ()
         in
-        serve ())
-      ()
-  in
-  (port, fd)
+        go ();
+        try Unix.close conn with Unix.Unix_error _ -> ()
+      in
+      ignore (Thread.create sink ()));
+  l
 
 let test_router_client_backpressure () =
-  let p, sfd = silent_shard () in
-  let router = Router.start ~stats:false ~shards:[ ("127.0.0.1", p) ] () in
+  let shard = silent_shard () in
+  let router =
+    Router.start ~stats:false
+      ~shards:[ ("127.0.0.1", Listener.port shard) ]
+      ()
+  in
   let client = ref None in
   Fun.protect
     ~finally:(fun () ->
@@ -329,7 +317,7 @@ let test_router_client_backpressure () =
       (* the silent shard owes every flight forever: the drain must
          cut the client, not wait for it *)
       ignore (Router.drain ~timeout_s:0.5 router);
-      try Unix.close sfd with Unix.Unix_error _ -> ())
+      Listener.stop shard)
     (fun () ->
       let deadline = Unix.gettimeofday () +. 10.0 in
       while (Router.counters router).Router.shards_up < 1 do
@@ -359,55 +347,35 @@ let test_router_client_backpressure () =
 (* Regression: a shard that dies abruptly (kill -9, crash) must become
    a typed oracle_unavailable — the router process survives the EPIPE. *)
 
-(* A "shard" that accepts one connection, reads a little, then slams
-   the socket shut — the router's subsequent writes hit EPIPE/ECONNRESET
+(* A "shard" that accepts connections one at a time, reads a little
+   from each, then slams it shut — the router's subsequent writes hit EPIPE/ECONNRESET
    exactly as they would against a kill -9'd process. *)
 let slammer_shard () =
-  let fd = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
-  Unix.setsockopt fd Unix.SO_REUSEADDR true;
-  Unix.bind fd (Unix.ADDR_INET (Unix.inet_addr_of_string "127.0.0.1", 0));
-  Unix.listen fd 8;
-  let port =
-    match Unix.getsockname fd with
-    | Unix.ADDR_INET (_, p) -> p
-    | _ -> assert false
-  in
-  (* not joined: a thread blocked in [accept] is not woken by closing
-     the listening fd on Linux; it parks harmlessly until process exit *)
-  let (_ : Thread.t) =
-    Thread.create
-      (fun () ->
-        let rec serve () =
-          match Unix.accept fd with
-          | conn, _ ->
-              (* linger 0 turns close into RST — the abrupt death *)
-              (try Unix.setsockopt_optint conn Unix.SO_LINGER (Some 0)
-               with Unix.Unix_error _ -> ());
-              let buf = Bytes.create 256 in
-              (try ignore (Unix.read conn buf 0 256)
-               with Unix.Unix_error _ -> ());
-              (try Unix.close conn with Unix.Unix_error _ -> ());
-              serve ()
-          | exception Unix.Unix_error _ -> ()
-        in
-        serve ())
-      ()
-  in
-  (port, fd)
+  let l = Listener.listen ~host:"127.0.0.1" ~port:0 in
+  Listener.run l (fun conn ->
+      (* linger 0 turns close into RST — the abrupt death *)
+      (try Unix.setsockopt_optint conn Unix.SO_LINGER (Some 0)
+       with Unix.Unix_error _ -> ());
+      let buf = Bytes.create 256 in
+      (try ignore (Unix.read conn buf 0 256) with Unix.Unix_error _ -> ());
+      try Unix.close conn with Unix.Unix_error _ -> ());
+  l
 
 let test_dead_shard_is_typed_never_fatal () =
-  let p1, fd1 = slammer_shard () in
-  let p2, fd2 = slammer_shard () in
+  let s1 = slammer_shard () and s2 = slammer_shard () in
   let router =
     Router.start ~stats:false ~queue_timeout_s:2.0
-      ~shards:[ ("127.0.0.1", p1); ("127.0.0.1", p2) ]
+      ~shards:
+        [
+          ("127.0.0.1", Listener.port s1); ("127.0.0.1", Listener.port s2);
+        ]
       ()
   in
   Fun.protect
     ~finally:(fun () ->
       ignore (Router.drain ~timeout_s:10.0 router);
-      (try Unix.close fd1 with Unix.Unix_error _ -> ());
-      (try Unix.close fd2 with Unix.Unix_error _ -> ()))
+      Listener.stop s1;
+      Listener.stop s2)
     (fun () ->
       (* wait until the router holds connections to both "shards" *)
       let deadline = Unix.gettimeofday () +. 10.0 in
@@ -474,13 +442,10 @@ let () =
         [
           Alcotest.test_case "byte passthrough over a live shard" `Quick
             test_router_passthrough;
-          (* before the dead-shard case: its slammer threads can call
-             accept on their listening fd numbers after those are
-             closed and handed to a later test's sockets *)
-          Alcotest.test_case "a client that stops reading is not read"
-            `Quick test_router_client_backpressure;
           Alcotest.test_case
             "dead shards are typed errors, never router death" `Quick
             test_dead_shard_is_typed_never_fatal;
+          Alcotest.test_case "a client that stops reading is not read"
+            `Quick test_router_client_backpressure;
         ] );
     ]
